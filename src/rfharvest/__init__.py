@@ -19,7 +19,6 @@ from .analog_frontend import (
     builtin_frontend_presets,
     calibrate_sensitivity,
     chain_open_circuit,
-    charging_current,
     delivered_power,
     input_amplitude,
     rectifier_open_circuit,
@@ -36,12 +35,9 @@ from .engine import (
     SimResult,
     StorageConfig,
     run_scenario,
-    sweep,
-    with_override,
 )
 from .errors import (
     CalibrationError,
-    ConverterOffError,
     LedgerError,
     QuantityError,
     RfHarvestError,
@@ -63,15 +59,12 @@ from .power_mgmt import (
 )
 from .quantities import dbm_to_watts, watts_to_dbm
 from .rf_environment import (
-    AntennaPreset,
     ConstantSource,
     FluctuatingSource,
     RfSourceModel,
     TraceSource,
-    antenna_presets,
     load_trace_csv,
     mean_power_watts,
-    sample_power,
     sample_window,
 )
 from .scenario import (
@@ -86,19 +79,15 @@ from .storage import (
     DcDcConverter,
     Supercap,
     TransferPolicy,
-    cap_step,
-    dcdc_input_current,
     transfer_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaPreset",
     "CalibrationError",
     "CalibrationTarget",
     "ConstantSource",
-    "ConverterOffError",
     "CycleReport",
     "DcDcConverter",
     "Device",
@@ -132,16 +121,12 @@ __all__ = [
     "TraceSource",
     "TransferPolicy",
     "TransitionError",
-    "antenna_presets",
     "apply_override",
     "builtin_frontend_presets",
     "calibrate_sensitivity",
-    "cap_step",
     "chain_open_circuit",
-    "charging_current",
     "cycle_energy",
     "dbm_to_watts",
-    "dcdc_input_current",
     "delivered_power",
     "dump_scenario",
     "input_amplitude",
@@ -154,13 +139,10 @@ __all__ = [
     "required_go_voltage",
     "run_cycle",
     "run_scenario",
-    "sample_power",
     "sample_window",
     "sensitivity_threshold_dbm",
-    "sweep",
     "table1_profiles",
     "tank_gain",
     "transfer_step",
     "watts_to_dbm",
-    "with_override",
 ]

@@ -24,11 +24,12 @@ from typing import Mapping, Sequence
 
 from .errors import CalibrationError, QuantityError
 from .quantities import (
-    Current,
     PowerDbm,
     PowerWatts,
     Voltage,
-    dbm_to_watts,
+    fraction,
+    nonnegative,
+    positive,
     watts_to_dbm,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
     "input_amplitude",
     "rectifier_open_circuit",
     "chain_open_circuit",
-    "charging_current",
     "sensitivity_threshold_dbm",
     "calibrate_sensitivity",
     "preset_targets",
@@ -84,7 +84,7 @@ class ReflectionModel:
 
     def __post_init__(self):
         g = self.gamma_sq
-        if math.isnan(g) or not 0.0 <= g <= 1.0:
+        if not 0.0 <= g <= 1.0:
             raise QuantityError(f"gamma_sq must be within [0, 1], got {g!r}")
 
 
@@ -96,10 +96,8 @@ class ResonantTank:
     q: float
 
     def __post_init__(self):
-        if not self.f0_hz > 0 or math.isinf(self.f0_hz) or math.isnan(self.f0_hz):
-            raise QuantityError(f"f0 must be positive and finite, got {self.f0_hz!r}")
-        if not self.q > 0 or math.isinf(self.q) or math.isnan(self.q):
-            raise QuantityError(f"q must be positive and finite, got {self.q!r}")
+        positive("f0", self.f0_hz)
+        positive("q", self.q)
 
 
 @dataclass(frozen=True)
@@ -123,20 +121,10 @@ class RectifierParams:
             raise QuantityError(f"stages must be an integer >= 1, got {self.stages!r}")
         if not isinstance(self.device, Device):
             raise QuantityError(f"unknown device {self.device!r}")
-        if math.isnan(self.v_drop) or math.isinf(self.v_drop) or self.v_drop < 0:
-            raise QuantityError(f"v_drop must be finite and >= 0, got {self.v_drop!r}")
-        if math.isnan(self.alpha) or not 0.0 < self.alpha <= 1.0:
-            raise QuantityError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if math.isnan(self.r_in) or math.isinf(self.r_in) or not self.r_in > 0:
-            raise QuantityError(f"r_in must be positive and finite, got {self.r_in!r}")
-        if (
-            math.isnan(self.r_out_per_stage)
-            or math.isinf(self.r_out_per_stage)
-            or not self.r_out_per_stage > 0
-        ):
-            raise QuantityError(
-                f"r_out_per_stage must be positive and finite, got {self.r_out_per_stage!r}"
-            )
+        nonnegative("v_drop", self.v_drop)
+        fraction("alpha", self.alpha)
+        positive("r_in", self.r_in)
+        positive("r_out_per_stage", self.r_out_per_stage)
 
 
 @dataclass(frozen=True)
@@ -158,9 +146,7 @@ def tank_gain(tank: ResonantTank, f_hz: float) -> float:
     Peaks at q on resonance and rolls off as q / sqrt(1 + q^2 x^2) with
     x = f/f0 - f0/f.
     """
-    f = float(f_hz)
-    if math.isnan(f) or math.isinf(f) or f <= 0:
-        raise QuantityError(f"frequency must be positive and finite, got {f!r}")
+    f = positive("frequency", f_hz)
     x = f / tank.f0_hz - tank.f0_hz / f
     return tank.q / math.sqrt(1.0 + tank.q * tank.q * x * x)
 
@@ -171,9 +157,7 @@ def input_amplitude(tank: ResonantTank, f_hz: float, p_delivered_w: float, r_in:
     The delivered power dissipates in the multiplier's input resistance, so
     the unboosted amplitude is sqrt(2 * P * r_in); the tank multiplies it.
     """
-    p = float(p_delivered_w)
-    if p < 0 or math.isnan(p):
-        raise QuantityError(f"delivered power must be >= 0, got {p!r}")
+    p = nonnegative("delivered power", p_delivered_w)
     return Voltage(tank_gain(tank, f_hz) * math.sqrt(2.0 * p * r_in))
 
 
@@ -192,9 +176,7 @@ def rectifier_open_circuit(params: RectifierParams, v_peak: float) -> FrontendOu
     previous stage's contribution.  Output resistance is per-stage series
     resistance times the stage count.
     """
-    vp = float(v_peak)
-    if vp < 0 or math.isnan(vp) or math.isinf(vp):
-        raise QuantityError(f"v_peak must be finite and >= 0, got {vp!r}")
+    vp = nonnegative("v_peak", v_peak)
     s = max(0.0, 2.0 * (vp - params.v_drop))
     v_oc = s * _stage_sum(params.alpha, params.stages)
     return FrontendOutput(Voltage(v_oc), params.stages * params.r_out_per_stage)
@@ -209,14 +191,6 @@ def chain_open_circuit(
     """Full chain from delivered power to the Thevenin DC output."""
     v_peak = input_amplitude(tank, carrier_hz, p_delivered_w, params.r_in)
     return rectifier_open_circuit(params, v_peak)
-
-
-def charging_current(out: FrontendOutput, v_cap: float) -> Current:
-    """DC current pushed into a storage element held at v_cap.
-
-    The rectifier cannot pull charge back out, hence the clamp at zero.
-    """
-    return Current(max(0.0, (out.v_oc - float(v_cap)) / out.r_out))
 
 
 def sensitivity_threshold_dbm(

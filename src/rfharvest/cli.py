@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -39,8 +38,7 @@ from .analog_frontend import (
 from .engine import Scenario, SimResult, run_scenario
 from .errors import LedgerError, RfHarvestError, ScenarioError
 from .power_mgmt import LoadProfile, cycle_energy
-from .quantities import dbm_to_watts
-from .rf_environment import ConstantSource, FluctuatingSource, TraceSource
+from .rf_environment import mean_power_watts
 from .scenario import (
     ScenarioBundle,
     apply_override,
@@ -122,39 +120,10 @@ def _days(seconds: float) -> str:
     return _dec(seconds / 86400.0, "0.01")
 
 
-def _mean_available_watts(scenario: Scenario) -> float:
-    """Time-mean ambient power of the source model, in watts.
-
-    Closed form for the uniform-in-dBm fluctuating model; step-hold
-    time-weighted mean for traces.
-    """
-    src = scenario.source
-    if isinstance(src, ConstantSource):
-        return dbm_to_watts(src.level_dbm)
-    if isinstance(src, FluctuatingSource):
-        lo, hi = src.lo_dbm, src.hi_dbm
-        if hi == lo:
-            return dbm_to_watts(lo)
-        k = math.log(10.0) / 10.0
-        return (dbm_to_watts(hi) - dbm_to_watts(lo)) / (k * (hi - lo))
-    assert isinstance(src, TraceSource)
-    total_t = 0.0
-    total_e = 0.0
-    samples = src.samples
-    for i, (t, p) in enumerate(samples):
-        t_next = samples[i + 1][0] if i + 1 < len(samples) else src.t_end_s
-        span = max(0.0, t_next - t)
-        total_t += span
-        total_e += span * dbm_to_watts(p)
-    if total_t == 0.0:
-        return dbm_to_watts(samples[-1][1])
-    return total_e / total_t
-
-
 def _mean_open_circuit_v(scenario: Scenario) -> float:
     """Rectifier open-circuit voltage at the source's mean power."""
     fe = scenario.frontend
-    p_del = delivered_power(_mean_available_watts(scenario), fe.reflection)
+    p_del = delivered_power(mean_power_watts(scenario.source), fe.reflection)
     return chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del).v_oc
 
 

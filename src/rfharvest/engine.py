@@ -22,7 +22,7 @@ power itself and any coupling inefficiency shows up as converter loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .analog_frontend import (
     RectifierParams,
@@ -46,7 +46,7 @@ from .power_mgmt import (
     resolve_go_threshold,
     table1_profiles,
 )
-from .quantities import dbm_to_watts
+from .quantities import dbm_to_watts, fraction, positive
 from .rf_environment import FluctuatingSource, RfSourceModel, sample_window
 from .storage import (
     CAP2_V_MAX_DEFAULT,
@@ -54,6 +54,7 @@ from .storage import (
     Supercap,
     TransferPolicy,
     cap_euler,
+    dcdc_supply_current,
     transfer_step,
 )
 
@@ -67,8 +68,6 @@ __all__ = [
     "SimResult",
     "Engine",
     "run_scenario",
-    "with_override",
-    "sweep",
     "TRACE_HEADER",
 ]
 
@@ -103,12 +102,8 @@ class FrontendConfig:
     def __post_init__(self):
         if self.coupling not in (COUPLING_THEVENIN, COUPLING_IDEAL):
             raise ScenarioError(f"unknown coupling {self.coupling!r}")
-        f = float(self.carrier_hz)
-        if math.isnan(f) or math.isinf(f) or not f > 0:
-            raise QuantityError(f"carrier_hz must be positive, got {f!r}")
-        e = float(self.ideal_efficiency)
-        if math.isnan(e) or not 0.0 < e <= 1.0:
-            raise QuantityError(f"ideal_efficiency must be in (0, 1], got {e!r}")
+        positive("carrier_hz", self.carrier_hz)
+        fraction("ideal_efficiency", self.ideal_efficiency)
 
 
 @dataclass(frozen=True)
@@ -121,9 +116,7 @@ class StorageConfig:
     cap2_v_max: float = CAP2_V_MAX_DEFAULT
 
     def __post_init__(self):
-        v = float(self.cap2_v_max)
-        if math.isnan(v) or math.isinf(v) or not v > 0:
-            raise QuantityError(f"cap2_v_max must be positive, got {v!r}")
+        positive("cap2_v_max", self.cap2_v_max)
 
 
 @dataclass(frozen=True)
@@ -145,17 +138,13 @@ class EngineConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        for label, value in (("dt_coarse", self.dt_coarse), ("dt_fine", self.dt_fine)):
-            v = float(value)
-            if math.isnan(v) or math.isinf(v) or not v > 0:
-                raise QuantityError(f"{label} must be positive, got {v!r}")
+        positive("dt_coarse", self.dt_coarse)
+        positive("dt_fine", self.dt_fine)
         if self.dt_fine > self.dt_coarse:
             raise QuantityError(
                 f"dt_fine {self.dt_fine!r} must not exceed dt_coarse {self.dt_coarse!r}"
             )
-        t = float(self.t_end)
-        if math.isnan(t) or math.isinf(t) or not t > 0:
-            raise QuantityError(f"t_end must be positive, got {t!r}")
+        positive("t_end", self.t_end)
         if self.max_transmissions is not None and self.max_transmissions < 1:
             raise QuantityError("max_transmissions must be >= 1 when set")
         if self.stop_stored_j is not None and not self.stop_stored_j > 0:
@@ -229,9 +218,9 @@ class Engine:
     """One simulation run: single-use, strictly sequential.
 
     Construct with a scenario, then call run() once; step(dt) advances a
-    single step for fine-grained inspection.  State lives in plain float
-    attributes; element records are rebuilt only where unit operations
-    (transfer_step, cycle_substep) take over.
+    single step for fine-grained inspection.  Capacitor state lives in
+    plain float attributes; only the converters and load switches are
+    records.
     """
 
     def __init__(self, scenario: Scenario):
@@ -357,17 +346,17 @@ class Engine:
         # possibly act; hand real work to the unit operation.
         st = sc.storage
         if st.conv1.enabled and (self.conv1.running or v1 >= st.transfer.start_v):
-            cap1 = replace(st.cap1, v=v1)
-            cap2 = replace(st.cap2, v=self.v2)
+            v2 = self.v2
+            c2 = self.c2
             e1_pre = 0.5 * c1 * v1 * v1
-            e2_pre = 0.5 * self.c2 * self.v2 * self.v2
-            cap1, cap2, self.conv1, _moved, _lost = transfer_step(
-                cap1, cap2, self.conv1, st.transfer, dt, st.cap2_v_max
+            e2_pre = 0.5 * c2 * v2 * v2
+            v1, v2, self.conv1, _moved, _lost = transfer_step(
+                v1, c1, v2, c2, self.conv1, st.transfer, dt, st.cap2_v_max
             )
-            self.v1 = cap1.v
-            self.v2 = cap2.v
-            e_extracted = e1_pre - 0.5 * c1 * cap1.v * cap1.v
-            e_deposited = 0.5 * self.c2 * cap2.v * cap2.v - e2_pre
+            self.v1 = v1
+            self.v2 = v2
+            e_extracted = e1_pre - 0.5 * c1 * v1 * v1
+            e_deposited = 0.5 * c2 * v2 * v2 - e2_pre
             led.e_converter_loss += e_extracted - e_deposited
 
         # Management: monitor draw and, during cycles, converter-2 loads.
@@ -395,8 +384,7 @@ class Engine:
             p_out = 0.0
             if draws:
                 p_out = sum(p for _, p in draws)
-                # Power balance through converter 2 at its fixed efficiency.
-                i_draw += p_out / (self.conv2.efficiency * v2)
+                i_draw += dcdc_supply_current(self.conv2, v2, p_out)
             v2, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
             e2_after = 0.5 * c2 * v2 * v2
             e_drawn = e2_before - e2_after - leaked2
@@ -505,36 +493,3 @@ class Engine:
 def run_scenario(scenario: Scenario, trace_path: str | None = None) -> SimResult:
     """Run one scenario to completion with a fresh engine."""
     return Engine(scenario).run(trace_path)
-
-
-def with_override(scenario: Scenario, path: str, value) -> Scenario:
-    """Return a copy of the scenario with one dotted field replaced.
-
-    The path walks dataclass fields, e.g. "source.level_dbm",
-    "frontend.rectifier.stages", "storage.cap1.c".  Validation of the new
-    value happens through the target record's own constructor.
-    """
-    parts = path.split(".")
-
-    def rebuild(obj, idx: int):
-        name = parts[idx]
-        if not is_dataclass(obj) or not any(f.name == name for f in fields(obj)):
-            raise ScenarioError(f"unknown parameter path {path!r} (no field {name!r})")
-        if idx == len(parts) - 1:
-            new_leaf = value
-            current = getattr(obj, name)
-            if is_dataclass(current) and not is_dataclass(new_leaf):
-                raise ScenarioError(f"parameter path {path!r} names a record, not a scalar")
-            return replace(obj, **{name: new_leaf})
-        return replace(obj, **{name: rebuild(getattr(obj, name), idx + 1)})
-
-    return rebuild(scenario, 0)
-
-
-def sweep(scenario: Scenario, path: str, values) -> list[SimResult]:
-    """Run one independent simulation per value of the dotted parameter.
-
-    Results are ordered like the inputs; every run uses the template's
-    seed unless the path itself overrides it.
-    """
-    return [run_scenario(with_override(scenario, path, v)) for v in values]

@@ -24,10 +24,6 @@ class CalibrationError(RfHarvestError):
     bracket, or contradictory targets)."""
 
 
-class ConverterOffError(RfHarvestError):
-    """Input current was requested from a converter that is not running."""
-
-
 class TransitionError(RfHarvestError):
     """A state-machine operation was invoked from a state that does not
     permit it."""

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import QuantityError, ScenarioError, TransitionError
-from .quantities import Voltage
-from .storage import DcDcConverter, Supercap, cap_step, dcdc_input_current, dcdc_update_running
+from .quantities import Voltage, finite, fraction, nonnegative, positive
+from .storage import DcDcConverter, Supercap, cap_euler, dcdc_supply_current, dcdc_update_running
 
 __all__ = [
     "NodeState",
@@ -93,15 +93,9 @@ class LoadProfile:
     t: float
 
     def __post_init__(self):
-        Voltage(self.v)
-        if not self.v > 0:
-            raise QuantityError(f"{self.name}: rail voltage must be positive")
-        i = float(self.i)
-        if math.isnan(i) or math.isinf(i) or not i > 0:
-            raise QuantityError(f"{self.name}: current must be positive, got {i!r}")
-        t = float(self.t)
-        if math.isnan(t) or math.isinf(t) or not t > 0:
-            raise QuantityError(f"{self.name}: on-time must be positive, got {t!r}")
+        positive(f"{self.name}: rail voltage", self.v)
+        positive(f"{self.name}: current", self.i)
+        positive(f"{self.name}: on-time", self.t)
 
     @property
     def energy(self) -> float:
@@ -135,16 +129,10 @@ def required_go_voltage(e_cycle: float, c: float, v_floor: float, efficiency: fl
     Inverts the usable-energy relation: drawing e_cycle / efficiency from a
     cap of size c must leave it no lower than v_floor.
     """
-    if not c > 0 or math.isnan(c) or math.isinf(c):
-        raise QuantityError(f"capacitance must be positive, got {c!r}")
-    if math.isnan(efficiency) or not 0.0 < efficiency <= 1.0:
-        raise QuantityError(f"efficiency must be in (0, 1], got {efficiency!r}")
-    e = float(e_cycle)
-    if e < 0 or math.isnan(e) or math.isinf(e):
-        raise QuantityError(f"cycle energy must be finite and >= 0, got {e!r}")
-    vf = float(v_floor)
-    if vf < 0 or math.isnan(vf) or math.isinf(vf):
-        raise QuantityError(f"v_floor must be finite and >= 0, got {vf!r}")
+    positive("capacitance", c)
+    fraction("efficiency", efficiency)
+    e = nonnegative("cycle energy", e_cycle)
+    vf = nonnegative("v_floor", v_floor)
     return Voltage(math.sqrt(vf * vf + 2.0 * e / (c * efficiency)))
 
 
@@ -164,13 +152,11 @@ class MonitorConfig:
             raise QuantityError(f"wake_period must be positive, got {self.wake_period!r}")
         if not self.check_duration > 0:
             raise QuantityError(f"check_duration must be positive, got {self.check_duration!r}")
-        for label, value in (("i_sleep", self.i_sleep), ("i_active", self.i_active)):
-            v = float(value)
-            if math.isnan(v) or math.isinf(v) or v < 0:
-                raise QuantityError(f"{label} must be finite and >= 0, got {v!r}")
-        Voltage(self.v_min_operate)
+        nonnegative("i_sleep", self.i_sleep)
+        nonnegative("i_active", self.i_active)
+        finite("v_min_operate", self.v_min_operate)
         if self.go_threshold is not None:
-            Voltage(self.go_threshold)
+            finite("go_threshold", self.go_threshold)
             if self.go_threshold < self.v_min_operate:
                 raise QuantityError(
                     f"go_threshold {self.go_threshold!r} below the monitor's "
@@ -202,9 +188,7 @@ class LoadSwitch:
     closed: bool = False
 
     def __post_init__(self):
-        r = float(self.r_on)
-        if math.isnan(r) or math.isinf(r) or not r > 0:
-            raise QuantityError(f"{self.name}: r_on must be positive, got {r!r}")
+        positive(f"{self.name}: r_on", self.r_on)
 
 
 @dataclass
@@ -438,6 +422,7 @@ def run_cycle(
     this op's scope; the engine overlays those during integrated runs.
     Returns the report plus the post-cycle converter and reservoir cap.
     """
+    positive("dt", dt)
     if sm.state is not NodeState.BOOT:
         raise TransitionError(f"run_cycle requires state Boot, got {sm.state.value}")
     if not (conv2.enabled and sm.enable_line):
@@ -449,7 +434,8 @@ def run_cycle(
         )
     sw_sensor, sw_zigbee = switches
     plan = build_cycle_plan(profiles, sw_sensor, sw_zigbee)
-    v_before = cap2.v
+    v = v_before = cap2.v
+    c, r_leak = cap2.c, cap2.r_leak
     e_by_load: dict[str, float] = {}
     e_from_cap = 0.0
     e_conv_loss = 0.0
@@ -461,7 +447,7 @@ def run_cycle(
     for _ in range(max_steps):
         state_before = sm.state
         draws, conv2, sw_sensor, sw_zigbee, event = cycle_substep(
-            sm, plan, conv2, sw_sensor, sw_zigbee, cap2.v, dt
+            sm, plan, conv2, sw_sensor, sw_zigbee, v, dt
         )
         if event == "done":
             success = True
@@ -472,17 +458,17 @@ def run_cycle(
         t += dt
         if draws:
             p_out = sum(p for _, p in draws)
-            i_in = dcdc_input_current(conv2, cap2.v, p_out / conv2.v_out_setpoint)
-            v_prev = cap2.v
-            cap2, _leaked = cap_step(cap2, -float(i_in), dt)
-            v_mid = 0.5 * (v_prev + cap2.v)
-            e_step = float(i_in) * v_mid * dt
+            i_in = dcdc_supply_current(conv2, v, p_out)
+            v_prev = v
+            v, _leaked = cap_euler(v, c, r_leak, -i_in, dt)
+            v_mid = 0.5 * (v_prev + v)
+            e_step = i_in * v_mid * dt
             e_from_cap += e_step
             for name, p in draws:
                 e_by_load[name] = e_by_load.get(name, 0.0) + p * dt
             e_conv_loss += e_step - p_out * dt
         else:
-            cap2, _leaked = cap_step(cap2, 0.0, dt)
+            v, _leaked = cap_euler(v, c, r_leak, 0.0, dt)
     else:
         raise TransitionError("cycle failed to terminate; inconsistent plan")
     return (
@@ -491,11 +477,11 @@ def run_cycle(
             aborted_in=aborted_in,
             duration_s=t,
             v_before=v_before,
-            v_after=cap2.v,
+            v_after=v,
             e_by_load=e_by_load,
             e_from_cap=e_from_cap,
             e_converter_loss=e_conv_loss,
         ),
         conv2,
-        cap2,
+        replace(cap2, v=v),
     )

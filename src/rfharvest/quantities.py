@@ -5,6 +5,9 @@ Each quantity is a float subclass, so arithmetic costs nothing and existing
 math works, but construction validates the domain and annotations make unit
 mistakes visible in signatures and tests.  Results of mixed arithmetic
 degrade to plain float; re-wrap at API boundaries where the tag matters.
+Record constructors check their plain-float fields with the labelled
+validators (finite, positive, nonnegative, fraction), so every error
+message names the field it rejects.
 
 Conventions: power in dBm is referenced to 1 mW, energy follows the
 capacitor relation E = C * V^2 / 2, and all values are double precision.
@@ -20,16 +23,15 @@ __all__ = [
     "PowerDbm",
     "PowerWatts",
     "Voltage",
-    "Current",
-    "Capacitance",
     "Energy",
-    "Duration",
-    "Frequency",
     "Resistance",
+    "finite",
+    "positive",
+    "nonnegative",
+    "fraction",
     "dbm_to_watts",
     "watts_to_dbm",
     "cap_energy",
-    "usable_energy",
 ]
 
 
@@ -77,32 +79,8 @@ class Voltage(_Scalar):
     """Potential in volts."""
 
 
-class Current(_Scalar):
-    """Current in amperes; sign follows the caller's reference direction."""
-
-
-class Capacitance(_Scalar):
-    """Capacitance in farads; strictly positive."""
-
-    _lo = 0.0
-    _lo_open = True
-
-
 class Energy(_Scalar):
     """Energy in joules. Deltas may be negative; stored energy never is."""
-
-
-class Duration(_Scalar):
-    """Time span in seconds; never negative."""
-
-    _lo = 0.0
-
-
-class Frequency(_Scalar):
-    """Frequency in hertz; strictly positive."""
-
-    _lo = 0.0
-    _lo_open = True
 
 
 class Resistance(_Scalar):
@@ -113,19 +91,47 @@ class Resistance(_Scalar):
     _allow_inf = True
 
 
+def finite(label: str, x: float) -> float:
+    """x as a float; raises if it is nan or infinite."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise QuantityError(f"{label} must be finite, got {v!r}")
+    return v
+
+
+def positive(label: str, x: float) -> float:
+    """x as a float; raises unless it is finite and strictly positive."""
+    v = float(x)
+    if not 0.0 < v < math.inf:
+        raise QuantityError(f"{label} must be positive and finite, got {v!r}")
+    return v
+
+
+def nonnegative(label: str, x: float) -> float:
+    """x as a float; raises unless it is finite and >= 0."""
+    v = float(x)
+    if not 0.0 <= v < math.inf:
+        raise QuantityError(f"{label} must be finite and >= 0, got {v!r}")
+    return v
+
+
+def fraction(label: str, x: float, hi: float = 1.0) -> float:
+    """x as a float; raises unless it lies in (0, hi]."""
+    v = float(x)
+    if not 0.0 < v <= hi:
+        raise QuantityError(f"{label} must be in (0, {hi}], got {v!r}")
+    return v
+
+
 def dbm_to_watts(p_dbm: float) -> PowerWatts:
     """Convert a dBm level to watts: P_W = 1e-3 * 10^(p/10)."""
-    p = float(p_dbm)
-    if math.isnan(p) or math.isinf(p):
-        raise QuantityError(f"dBm level must be finite, got {p!r}")
+    p = finite("dBm level", p_dbm)
     return PowerWatts(10.0 ** (p / 10.0) * 1e-3)
 
 
 def watts_to_dbm(p_watts: float) -> PowerDbm:
     """Convert watts to dBm. Undefined for p <= 0."""
-    p = float(p_watts)
-    if math.isnan(p) or math.isinf(p):
-        raise QuantityError(f"power must be finite, got {p!r}")
+    p = finite("power", p_watts)
     if p <= 0.0:
         raise QuantityError(f"dBm is undefined for non-positive power {p!r}")
     return PowerDbm(10.0 * math.log10(p / 1e-3))
@@ -133,30 +139,6 @@ def watts_to_dbm(p_watts: float) -> PowerDbm:
 
 def cap_energy(c: float, v: float) -> Energy:
     """Energy stored on a capacitor: E = C * V^2 / 2."""
-    c = float(c)
-    if not c > 0.0 or math.isnan(c) or math.isinf(c):
-        raise QuantityError(f"capacitance must be positive and finite, got {c!r}")
-    v = float(v)
-    if math.isnan(v) or math.isinf(v):
-        raise QuantityError(f"voltage must be finite, got {v!r}")
+    c = positive("capacitance", c)
+    v = finite("voltage", v)
     return Energy(0.5 * c * v * v)
-
-
-def usable_energy(c: float, v_hi: float, v_lo: float) -> Energy:
-    """Energy released by discharging C from v_hi down to v_lo.
-
-    This is what a converter with some minimum input voltage can actually
-    extract from a supercapacitor, as opposed to the total stored energy.
-    """
-    c = float(c)
-    if not c > 0.0 or math.isnan(c) or math.isinf(c):
-        raise QuantityError(f"capacitance must be positive and finite, got {c!r}")
-    hi = float(v_hi)
-    lo = float(v_lo)
-    if math.isnan(hi) or math.isinf(hi) or math.isnan(lo) or math.isinf(lo):
-        raise QuantityError("voltages must be finite")
-    if hi < lo:
-        raise QuantityError(
-            f"voltage interval is inverted: v_hi={hi!r} < v_lo={lo!r}"
-        )
-    return Energy(0.5 * c * (hi * hi - lo * lo))

@@ -20,16 +20,13 @@ from pathlib import Path
 from typing import Union
 
 from .errors import QuantityError, TraceError
-from .quantities import PowerDbm, PowerWatts, dbm_to_watts
+from .quantities import dbm_to_watts, finite, nonnegative
 
 __all__ = [
     "ConstantSource",
     "FluctuatingSource",
     "TraceSource",
     "RfSourceModel",
-    "AntennaPreset",
-    "antenna_presets",
-    "sample_power",
     "sample_window",
     "mean_power_watts",
     "load_trace_csv",
@@ -63,7 +60,7 @@ class ConstantSource:
     level_dbm: float
 
     def __post_init__(self):
-        PowerDbm(self.level_dbm)
+        finite("level_dbm", self.level_dbm)
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,8 @@ class FluctuatingSource:
     seed: int = 0
 
     def __post_init__(self):
-        PowerDbm(self.lo_dbm)
-        PowerDbm(self.hi_dbm)
+        finite("lo_dbm", self.lo_dbm)
+        finite("hi_dbm", self.hi_dbm)
         if not self.hi_dbm >= self.lo_dbm:
             raise QuantityError(
                 f"fluctuation bounds inverted: lo={self.lo_dbm} hi={self.hi_dbm}"
@@ -107,9 +104,9 @@ class TraceSource:
             raise TraceError("trace must contain at least one sample")
         prev = None
         for t, p in self.samples:
-            if math.isnan(t) or math.isinf(t):
+            if not math.isfinite(t):
                 raise TraceError(f"trace timestamp must be finite, got {t!r}")
-            PowerDbm(p)
+            finite("trace power", p)
             if prev is not None and not t > prev:
                 raise TraceError(
                     f"trace timestamps must be strictly increasing at t={t!r}"
@@ -128,37 +125,13 @@ class TraceSource:
 RfSourceModel = Union[ConstantSource, FluctuatingSource, TraceSource]
 
 
-@dataclass(frozen=True)
-class AntennaPreset:
-    """A named antenna plus the ambient environment it was characterized in."""
-
-    name: str
-    model: RfSourceModel
-
-
-def antenna_presets(seed: int = 0, dwell_s: float = DEFAULT_DWELL_S) -> dict[str, AntennaPreset]:
-    """The two built-in antenna environments.
-
-    "monopole": small whip, roughly constant -50 dBm broadcast pickup.
-    "ribbon_dipole": half-wave ribbon dipole, -43 to -33 dBm fluctuation.
-    """
-    return {
-        "monopole": AntennaPreset("monopole", ConstantSource(-50.0)),
-        "ribbon_dipole": AntennaPreset(
-            "ribbon_dipole",
-            FluctuatingSource(-43.0, -33.0, dwell_s=dwell_s, seed=seed),
-        ),
-    }
-
-
 def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
     """Return (level_dbm, valid_until_s) for the window containing time t.
 
     valid_until is the first instant the level may change; it is +inf for a
     constant source.  The engine uses it to avoid resampling every step.
     """
-    if t < 0 or math.isnan(t) or math.isinf(t):
-        raise QuantityError(f"sample time must be finite and >= 0, got {t!r}")
+    nonnegative("sample time", t)
     if isinstance(model, ConstantSource):
         return model.level_dbm, math.inf
     if isinstance(model, FluctuatingSource):
@@ -191,25 +164,34 @@ def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
     raise TypeError(f"unknown source model {model!r}")
 
 
-def sample_power(model: RfSourceModel, t: float) -> PowerDbm:
-    """Available power at the antenna at time t, in dBm."""
-    level, _ = sample_window(model, t)
-    return PowerDbm(level)
+def mean_power_watts(model: RfSourceModel) -> float:
+    """Time-mean available power of the source model, in watts.
 
-
-def mean_power_watts(model: RfSourceModel, horizon_s: float, dt_s: float) -> PowerWatts:
-    """Arithmetic mean of the available power in watts over [0, horizon).
-
-    Sampled on a regular grid of spacing dt; the mean is taken in watts,
-    not dBm, because energy adds in watts.
+    The mean is taken in watts, not dBm, because energy adds in watts.
+    Closed form for the uniform-in-dBm fluctuating model; step-hold
+    time-weighted mean for traces.
     """
-    if not horizon_s > 0 or not dt_s > 0:
-        raise QuantityError("horizon and dt must be positive")
-    n = max(1, math.ceil(horizon_s / dt_s))
-    total = 0.0
-    for k in range(n):
-        total += dbm_to_watts(sample_power(model, k * dt_s))
-    return PowerWatts(total / n)
+    if isinstance(model, ConstantSource):
+        return dbm_to_watts(model.level_dbm)
+    if isinstance(model, FluctuatingSource):
+        lo, hi = model.lo_dbm, model.hi_dbm
+        if hi == lo:
+            return dbm_to_watts(lo)
+        k = math.log(10.0) / 10.0
+        return (dbm_to_watts(hi) - dbm_to_watts(lo)) / (k * (hi - lo))
+    if isinstance(model, TraceSource):
+        total_t = 0.0
+        total_e = 0.0
+        samples = model.samples
+        for i, (t, p) in enumerate(samples):
+            t_next = samples[i + 1][0] if i + 1 < len(samples) else model.t_end_s
+            span = max(0.0, t_next - t)
+            total_t += span
+            total_e += span * dbm_to_watts(p)
+        if total_t == 0.0:
+            return dbm_to_watts(samples[-1][1])
+        return total_e / total_t
+    raise TypeError(f"unknown source model {model!r}")
 
 
 def load_trace_csv(path: str | Path, hold_last: bool = False) -> TraceSource:

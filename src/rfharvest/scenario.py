@@ -126,11 +126,9 @@ _KEYS: tuple[_Key, ...] = (
     _Key("storage.conv1_enabled", "bool", "true", "stage-one converter present"),
     _Key("storage.conv1_v_startup", "float", "0.5", "converter 1 startup voltage"),
     _Key("storage.conv1_v_min_operate", "float", "0.3", "converter 1 dropout voltage"),
-    _Key("storage.conv1_v_out_setpoint", "float", "2.45", "converter 1 output setpoint"),
     _Key("storage.conv1_efficiency", "float", "0.9", "converter 1 efficiency"),
     _Key("storage.conv2_v_startup", "float", "0.5", "converter 2 startup voltage"),
     _Key("storage.conv2_v_min_operate", "float", "0.25", "converter 2 undervoltage cutoff, below the 0.3 V budget floor"),
-    _Key("storage.conv2_v_out_setpoint", "float", "2.45", "converter 2 output setpoint (logic rail)"),
     _Key("storage.conv2_efficiency", "float", "0.9", "converter 2 efficiency"),
     _Key("storage.transfer_start_v", "float", "0.5", "pump start threshold on the harvest cap"),
     _Key("storage.transfer_stop_v", "float", "0.3", "pump stop threshold on the harvest cap"),
@@ -373,14 +371,12 @@ def build_scenario(values: dict[str, str]) -> Scenario:
         conv1=DcDcConverter(
             v_startup=g("storage.conv1_v_startup"),
             v_min_operate=g("storage.conv1_v_min_operate"),
-            v_out_setpoint=g("storage.conv1_v_out_setpoint"),
             efficiency=g("storage.conv1_efficiency"),
             enabled=g("storage.conv1_enabled"),
         ),
         conv2=DcDcConverter(
             v_startup=g("storage.conv2_v_startup"),
             v_min_operate=g("storage.conv2_v_min_operate"),
-            v_out_setpoint=g("storage.conv2_v_out_setpoint"),
             efficiency=g("storage.conv2_efficiency"),
             enabled=False,
         ),

@@ -3,8 +3,8 @@ between them.
 
 Capacitors integrate current with explicit fixed steps; leakage is a
 parallel resistance.  Converters are behavioral: a startup threshold, a
-minimum operating voltage with hysteresis between the two, a fixed
-efficiency, and an output setpoint.  The stage-one converter is modeled as
+minimum operating voltage with hysteresis between the two, and a fixed
+efficiency.  The stage-one converter is modeled as
 a constant-current pump that moves charge from the harvest cap into the
 reservoir cap whenever it is running.
 
@@ -22,17 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConverterOffError, QuantityError
-from .quantities import Capacitance, Current, Duration, Resistance, Voltage, cap_energy
+from .errors import QuantityError
+from .quantities import Resistance, finite, fraction, nonnegative, positive
 
 __all__ = [
     "Supercap",
     "DcDcConverter",
     "TransferPolicy",
     "cap_euler",
-    "cap_step",
     "dcdc_update_running",
-    "dcdc_input_current",
+    "dcdc_supply_current",
     "transfer_step",
 ]
 
@@ -42,7 +41,7 @@ CAP2_V_MAX_DEFAULT = 4.5
 
 @dataclass(frozen=True)
 class Supercap:
-    """A supercapacitor: capacitance, present voltage, leak resistance."""
+    """A supercapacitor: capacitance, voltage, leak resistance."""
 
     c: float
     v: float
@@ -50,15 +49,9 @@ class Supercap:
     name: str = "cap"
 
     def __post_init__(self):
-        Capacitance(self.c)
+        positive(f"{self.name}: capacitance", self.c)
         Resistance(self.r_leak)
-        v = float(self.v)
-        if math.isnan(v) or math.isinf(v) or v < 0:
-            raise QuantityError(f"{self.name}: voltage must be finite and >= 0, got {v!r}")
-
-    @property
-    def energy(self) -> float:
-        return float(cap_energy(self.c, self.v))
+        nonnegative(f"{self.name}: voltage", self.v)
 
 
 @dataclass(frozen=True)
@@ -77,22 +70,18 @@ class DcDcConverter:
 
     v_startup: float = 0.5
     v_min_operate: float = 0.25
-    v_out_setpoint: float = 2.45
     efficiency: float = 0.9
     enabled: bool = False
     running: bool = False
 
     def __post_init__(self):
-        Voltage(self.v_startup)
-        Voltage(self.v_min_operate)
-        Voltage(self.v_out_setpoint)
+        finite("v_startup", self.v_startup)
+        positive("v_min_operate", self.v_min_operate)
         if self.v_startup < self.v_min_operate:
             raise QuantityError(
                 f"v_startup {self.v_startup!r} below v_min_operate {self.v_min_operate!r}"
             )
-        e = self.efficiency
-        if math.isnan(e) or not 0.0 < e <= 0.9:
-            raise QuantityError(f"efficiency must be in (0, 0.9], got {e!r}")
+        fraction("efficiency", self.efficiency, 0.9)
 
 
 @dataclass(frozen=True)
@@ -109,20 +98,18 @@ class TransferPolicy:
     pump_current: float = 1e-3
 
     def __post_init__(self):
-        Voltage(self.start_v)
-        Voltage(self.stop_v)
+        finite("start_v", self.start_v)
+        nonnegative("stop_v", self.stop_v)
         if self.start_v < self.stop_v:
             raise QuantityError(
                 f"start_v {self.start_v!r} below stop_v {self.stop_v!r}"
             )
-        i = float(self.pump_current)
-        if math.isnan(i) or math.isinf(i) or not i > 0:
-            raise QuantityError(f"pump_current must be positive, got {i!r}")
+        positive("pump_current", self.pump_current)
 
 
 def cap_euler(v: float, c: float, r_leak: float, i_in: float, dt: float) -> tuple[float, float]:
-    """Plain-float capacitor update kernel shared by cap_step and the
-    simulation engine's inner loop.
+    """Plain-float capacitor update kernel: every capacitor step in the
+    simulator goes through here.
 
     Explicit update dv = (i_in - v / r_leak) * dt / c, clamped at zero.
     Returns (v_new, leaked) with leaked chosen so that
@@ -142,20 +129,6 @@ def cap_euler(v: float, c: float, r_leak: float, i_in: float, dt: float) -> tupl
     return v2, leaked
 
 
-def cap_step(cap: Supercap, i_in: float, dt: float) -> tuple[Supercap, float]:
-    """Advance a capacitor one step under net terminal current i_in.
-
-    Validating wrapper over cap_euler; returns the updated cap and the
-    energy lost to leakage this step.
-    """
-    Duration(dt)
-    i = float(i_in)
-    if math.isnan(i) or math.isinf(i):
-        raise QuantityError(f"current must be finite, got {i!r}")
-    v2, leaked = cap_euler(cap.v, cap.c, cap.r_leak, i, dt)
-    return replace(cap, v=v2), leaked
-
-
 def dcdc_update_running(conv: DcDcConverter, v_in: float) -> DcDcConverter:
     """Apply the startup/operate hysteresis for the present input voltage."""
     v = float(v_in)
@@ -165,60 +138,49 @@ def dcdc_update_running(conv: DcDcConverter, v_in: float) -> DcDcConverter:
     return replace(conv, running=running)
 
 
-def dcdc_input_current(conv: DcDcConverter, v_in: float, i_load: float) -> Current:
-    """Input current drawn to supply i_load at the output setpoint.
+def dcdc_supply_current(conv: DcDcConverter, v_in: float, p_out: float) -> float:
+    """Input current that delivers p_out through the converter from v_in.
 
-    Power balance with fixed efficiency: v_in * i_in * eff = v_out * i_load.
+    Power balance at fixed efficiency: v_in * i_in * efficiency = p_out.
     """
-    if not conv.running:
-        raise ConverterOffError("converter is not running; no load can be supplied")
-    v = float(v_in)
-    if not v > 0 or math.isnan(v) or math.isinf(v):
-        raise QuantityError(f"v_in must be positive, got {v!r}")
-    i = float(i_load)
-    if i < 0 or math.isnan(i) or math.isinf(i):
-        raise QuantityError(f"i_load must be finite and >= 0, got {i!r}")
-    return Current(conv.v_out_setpoint * i / (conv.efficiency * v))
+    return p_out / (conv.efficiency * v_in)
 
 
 def transfer_step(
-    cap1: Supercap,
-    cap2: Supercap,
+    v1: float,
+    c1: float,
+    v2: float,
+    c2: float,
     conv1: DcDcConverter,
     pol: TransferPolicy,
     dt: float,
     cap2_v_max: float = CAP2_V_MAX_DEFAULT,
-) -> tuple[Supercap, Supercap, DcDcConverter, float, float]:
-    """Move one step's worth of charge from cap1 into cap2 through conv1.
+) -> tuple[float, float, DcDcConverter, float, float]:
+    """Move one step's worth of charge from cap1 (v1, c1) into cap2 (v2, c2)
+    through conv1.
 
-    Returns (cap1, cap2, conv1, moved, lost): moved is the energy deposited
-    into cap2, lost the converter's conversion loss.  The pump draws
-    pol.pump_current from cap1, never below pol.stop_v in one step, and
-    pauses while cap2 sits at its ceiling.  Leakage is not applied here;
-    step the caps separately for that.
+    Plain-float kernel like cap_euler.  Returns (v1, v2, conv1, moved,
+    lost): moved is the energy deposited into cap2, lost the converter's
+    conversion loss.  The pump draws pol.pump_current from cap1, never
+    below pol.stop_v in one step, and pauses while cap2 sits at its
+    ceiling.  Leakage is not applied here; step the caps separately for
+    that.
     """
-    Duration(dt)
-    conv1 = dcdc_update_running(conv1, cap1.v)
-    if conv1.running and cap1.v <= pol.stop_v:
+    conv1 = dcdc_update_running(conv1, v1)
+    if conv1.running and v1 <= pol.stop_v:
         # Drained to the floor: the converter drops out and must see
         # start_v again before pumping resumes.
         conv1 = replace(conv1, running=False)
-    if not conv1.running or dt == 0.0 or cap2.v >= cap2_v_max:
-        return cap1, cap2, conv1, 0.0, 0.0
+    if not conv1.running or dt == 0.0 or v2 >= cap2_v_max:
+        return v1, v2, conv1, 0.0, 0.0
     # Charge leaving cap1, limited so v1 stops at the converter floor.
-    q = min(pol.pump_current * dt, cap1.c * (cap1.v - pol.stop_v))
-    v1_new = cap1.v - q / cap1.c
-    v1_mid = 0.5 * (cap1.v + v1_new)
+    q = min(pol.pump_current * dt, c1 * (v1 - pol.stop_v))
+    v1_new = v1 - q / c1
+    v1_mid = 0.5 * (v1 + v1_new)
     e_extracted = q * v1_mid  # equals cap1's stored-energy drop exactly
     moved = conv1.efficiency * e_extracted
     lost = e_extracted - moved
-    v2_new = math.sqrt(cap2.v * cap2.v + 2.0 * moved / cap2.c)
+    v2_new = math.sqrt(v2 * v2 + 2.0 * moved / c2)
     if v1_new <= pol.stop_v:
         conv1 = replace(conv1, running=False)
-    return (
-        replace(cap1, v=v1_new),
-        replace(cap2, v=v2_new),
-        conv1,
-        moved,
-        lost,
-    )
+    return v1_new, v2_new, conv1, moved, lost

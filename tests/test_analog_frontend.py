@@ -18,7 +18,6 @@ from rfharvest.analog_frontend import (
     builtin_frontend_presets,
     calibrate_sensitivity,
     chain_open_circuit,
-    charging_current,
     delivered_power,
     input_amplitude,
     preset_targets,
@@ -111,17 +110,6 @@ def test_marginal_stage_gain_strictly_decreasing():
         assert m_next < m_prev
     # the first 8 stages carry >= 90% of the 25-stage output
     assert v[7] / v[24] >= 0.90
-
-
-def test_charging_current_thevenin():
-    out = rectifier_open_circuit(
-        RectifierParams(5, Device.ZERO_VT_MOSFET, 0.05, 0.7, 5000.0, 100.0),
-        v_peak=0.4,
-    )
-    i = charging_current(out, v_cap=0.1)
-    assert i == pytest.approx((out.v_oc - 0.1) / out.r_out, rel=1e-12)
-    # never discharges the cap backwards through the rectifier
-    assert charging_current(out, v_cap=out.v_oc + 1.0) == 0.0
 
 
 def test_builtin_presets_hit_their_thresholds():

@@ -7,6 +7,7 @@ import pytest
 from rfharvest.analog_frontend import (
     ReflectionModel,
     builtin_frontend_presets,
+    chain_open_circuit,
 )
 from rfharvest.engine import (
     TRACE_HEADER,
@@ -17,13 +18,12 @@ from rfharvest.engine import (
     Scenario,
     StorageConfig,
     run_scenario,
-    sweep,
-    with_override,
 )
 from rfharvest.errors import QuantityError, ScenarioError
 from rfharvest.power_mgmt import MonitorConfig, NodeState
 from rfharvest.quantities import dbm_to_watts
 from rfharvest.rf_environment import ConstantSource, FluctuatingSource
+from rfharvest.scenario import parse_scenario
 from rfharvest.storage import DcDcConverter, Supercap, TransferPolicy
 
 PRESET = builtin_frontend_presets()["zerovt_100MHz"]
@@ -227,30 +227,6 @@ def test_stop_reason_t_end():
     assert res.t_final == pytest.approx(100.0)
 
 
-def test_with_override_walks_nested_fields():
-    scn = _ideal_scenario(0.032)
-    hotter = with_override(scn, "source.level_dbm", -30.0)
-    assert hotter.source.level_dbm == -30.0
-    assert scn.source.level_dbm == -37.0  # original untouched
-    fewer = with_override(scn, "frontend.rectifier.stages", 10)
-    assert fewer.frontend.rectifier.stages == 10
-    with pytest.raises(ScenarioError):
-        with_override(scn, "source.no_such_field", 1.0)
-    with pytest.raises(ScenarioError):
-        with_override(scn, "storage.cap1", 2.0)  # record, not a scalar
-
-
-def test_sweep_orders_results_like_inputs():
-    scn = _ideal_scenario(1e9, t_end=300.0)
-    levels = [-40.0, -35.0, -30.0]
-    results = sweep(scn, "source.level_dbm", levels)
-    assert len(results) == 3
-    harvested = [r.ledger.e_harvested for r in results]
-    assert harvested[0] < harvested[1] < harvested[2]
-    for lvl, r in zip(levels, harvested):
-        assert r == pytest.approx(float(dbm_to_watts(lvl)) * 300.0, rel=1e-9)
-
-
 def test_engine_config_validation():
     with pytest.raises(QuantityError):
         EngineConfig(dt_coarse=1.0, dt_fine=2.0)
@@ -283,3 +259,22 @@ def test_conservation_across_mixed_scenarios():
         led = res.ledger
         assert abs(led.residual()) <= led.tolerance()
         assert (res.time_to_first_transmission is None) == (res.transmissions == 0)
+
+
+def test_rectifier_never_pulls_charge_back():
+    # The harvest cap sits above the chain's open-circuit voltage: the
+    # rectifier blocks reverse current, so nothing flows either way.
+    bundle = parse_scenario(
+        "[source]\ntype = constant\nlevel_dbm = -25.0\n"
+        "[storage]\ncap1_v0 = 3.0\ncap1_r_leak_ohm = inf\nconv1_enabled = false\n"
+        "[management]\nloads_enabled = false\n"
+        "[engine]\nt_end_s = 3600\n"
+    )
+    fe = bundle.scenario.frontend
+    p_del = float(dbm_to_watts(-25.0)) * (1.0 - fe.reflection.gamma_sq)
+    v_oc = chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del).v_oc
+    assert v_oc == pytest.approx(2.02, abs=0.01)
+    res = run_scenario(bundle.scenario)
+    assert res.stop_reason == "t_end"
+    assert res.v_cap1 == 3.0
+    assert res.ledger.e_harvested == 0.0

@@ -279,6 +279,15 @@ def test_run_cycle_requires_boot_and_enabled_converter():
                   DcDcConverter(enabled=True), Supercap(1.0, 0.4))
 
 
+def test_run_cycle_rejects_bad_step():
+    # the step is checked once per run, not inside the cap_euler kernel
+    for bad_dt in (0.0, -1.0, math.nan):
+        with pytest.raises(QuantityError):
+            run_cycle(_boot_machine(), table1_profiles(),
+                      (LoadSwitch("sensor"), LoadSwitch("zigbee")),
+                      DcDcConverter(enabled=True), Supercap(1.0, 1.0), dt=bad_dt)
+
+
 def test_cycle_enable_line_continuity_and_switch_windows():
     """Walk the cycle step by step: the enable line never drops between
     Boot and Shutdown, and each switch conducts exactly during its phase."""

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from rfharvest.errors import QuantityError
 from rfharvest.quantities import (
-    Capacitance,
-    Duration,
     Energy,
-    Frequency,
     PowerDbm,
     PowerWatts,
     Resistance,
     Voltage,
     cap_energy,
     dbm_to_watts,
-    usable_energy,
     watts_to_dbm,
 )
 
@@ -65,33 +61,9 @@ def test_cap_energy_values():
     )
 
 
-def test_usable_energy_interval():
-    assert usable_energy(1.0, 2.0, 1.0) == pytest.approx(1.5, rel=1e-12)
-    assert usable_energy(1.0, 1.0, 1.0) == 0.0
-    with pytest.raises(QuantityError):
-        usable_energy(1.0, 1.0, 2.0)
-
-
-@given(
-    st.floats(min_value=1e-3, max_value=100.0),
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=0.0, max_value=10.0),
-)
-def test_usable_energy_is_energy_difference(c, a, b):
-    hi, lo = max(a, b), min(a, b)
-    expected = cap_energy(c, hi) - cap_energy(c, lo)
-    assert usable_energy(c, hi, lo) == pytest.approx(expected, abs=1e-12)
-
-
 def test_scalar_domains():
     with pytest.raises(QuantityError):
         PowerWatts(-1e-9)
-    with pytest.raises(QuantityError):
-        Capacitance(0.0)
-    with pytest.raises(QuantityError):
-        Duration(-0.1)
-    with pytest.raises(QuantityError):
-        Frequency(0.0)
     with pytest.raises(QuantityError):
         Resistance(0.0)
     # open circuit is a legal leak resistance

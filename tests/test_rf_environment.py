@@ -5,22 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest.errors import QuantityError, TraceError
+from rfharvest.quantities import dbm_to_watts
 from rfharvest.rf_environment import (
     ConstantSource,
     FluctuatingSource,
     TraceSource,
-    antenna_presets,
     load_trace_csv,
     mean_power_watts,
-    sample_power,
     sample_window,
 )
+
+
+def _level(model, t):
+    level, _ = sample_window(model, t)
+    return level
 
 
 def test_constant_source_is_flat():
     src = ConstantSource(level_dbm=-37.0)
     for t in (0.0, 1.0, 1e6):
-        assert sample_power(src, t) == -37.0
+        assert _level(src, t) == -37.0
     level, until = sample_window(src, 123.0)
     assert level == -37.0
     assert until == float("inf")
@@ -29,13 +33,13 @@ def test_constant_source_is_flat():
 def test_fluctuating_bounds_and_windows():
     src = FluctuatingSource(lo_dbm=-43.0, hi_dbm=-33.0, dwell_s=60.0, seed=0)
     for t in (0.0, 59.999, 60.0, 61.0, 86400.0):
-        p = sample_power(src, t)
+        p = _level(src, t)
         assert -43.0 <= p <= -33.0
     # constant within one window, boundary at the dwell edge
-    assert sample_power(src, 0.0) == sample_power(src, 59.999)
+    assert _level(src, 0.0) == _level(src, 59.999)
     level, until = sample_window(src, 30.0)
     assert until == 60.0
-    assert level == sample_power(src, 30.0)
+    assert level == _level(src, 30.0)
 
 
 def test_fluctuating_determinism_and_seed_sensitivity():
@@ -43,11 +47,11 @@ def test_fluctuating_determinism_and_seed_sensitivity():
     b = FluctuatingSource(-43.0, -33.0, 60.0, seed=1)
     c = FluctuatingSource(-43.0, -33.0, 60.0, seed=2)
     ts = [60.0 * k for k in range(200)]
-    seq_a = [sample_power(a, t) for t in ts]
-    assert seq_a == [sample_power(b, t) for t in ts]
-    assert seq_a != [sample_power(c, t) for t in ts]
+    seq_a = [_level(a, t) for t in ts]
+    assert seq_a == [_level(b, t) for t in ts]
+    assert seq_a != [_level(c, t) for t in ts]
     # random access equals sequential access: value depends only on the window
-    assert sample_power(a, 60.0 * 150 + 5.0) == seq_a[150]
+    assert _level(a, 60.0 * 150 + 5.0) == seq_a[150]
 
 
 @given(
@@ -59,7 +63,7 @@ def test_fluctuating_determinism_and_seed_sensitivity():
 @settings(max_examples=200)
 def test_fluctuating_sample_always_in_band(lo, width, seed, t):
     src = FluctuatingSource(lo_dbm=lo, hi_dbm=lo + width, dwell_s=60.0, seed=seed)
-    assert lo <= sample_power(src, t) <= lo + width
+    assert lo <= _level(src, t) <= lo + width
 
 
 def test_fluctuating_validation():
@@ -71,14 +75,14 @@ def test_fluctuating_validation():
 
 def test_trace_step_hold_semantics():
     src = TraceSource(samples=((0.0, -40.0), (10.0, -35.0), (20.0, -30.0)))
-    assert sample_power(src, 0.0) == -40.0
-    assert sample_power(src, 9.999) == -40.0
-    assert sample_power(src, 10.0) == -35.0
-    assert sample_power(src, 20.0) == -30.0
+    assert _level(src, 0.0) == -40.0
+    assert _level(src, 9.999) == -40.0
+    assert _level(src, 10.0) == -35.0
+    assert _level(src, 20.0) == -30.0
     with pytest.raises(TraceError):
-        sample_power(src, 20.001)
+        _level(src, 20.001)
     held = TraceSource(samples=((0.0, -40.0), (10.0, -35.0)), hold_last=True)
-    assert sample_power(held, 1e9) == -35.0
+    assert _level(held, 1e9) == -35.0
 
 
 def test_trace_validation():
@@ -94,7 +98,7 @@ def test_load_trace_csv(tmp_path):
     p = tmp_path / "trace.csv"
     p.write_text("time_s,power_dbm\n0.0,-40.0\n10.0,-35.0\n")
     src = load_trace_csv(p)
-    assert sample_power(src, 5.0) == -40.0
+    assert _level(src, 5.0) == -40.0
     bad = tmp_path / "bad.csv"
     bad.write_text("time_s,power_dbm\n0.0,-40.0\n5.0,not_a_number\n")
     with pytest.raises(TraceError):
@@ -107,24 +111,30 @@ def test_load_trace_csv(tmp_path):
 
 def test_mean_power_watts_constant():
     src = ConstantSource(level_dbm=-30.0)
-    assert mean_power_watts(src, 100.0, 1.0) == pytest.approx(1e-6, rel=1e-9)
+    assert mean_power_watts(src) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_mean_power_watts_fluctuating_matches_closed_form():
-    # E[10^(X/10)] for X ~ U(lo, hi) in dBm
+    # E[10^(X/10)] for X ~ U(lo, hi) in dBm, against the sampler itself and
+    # against a fine midpoint sum
     import math
 
     src = FluctuatingSource(-43.0, -33.0, 60.0, seed=0)
     k = math.log(10.0) / 10.0
     exact = (10 ** (-3.3) - 10 ** (-4.3)) * 1e-3 / (k * 10.0)
-    est = mean_power_watts(src, 60.0 * 20000, 60.0)
-    assert est == pytest.approx(exact, rel=0.02)
+    assert mean_power_watts(src) == pytest.approx(exact, rel=1e-12)
+    n = 20000
+    grid = sum(10 ** ((-43.0 + 10.0 * (j + 0.5) / n) / 10.0) * 1e-3 for j in range(n)) / n
+    assert mean_power_watts(src) == pytest.approx(grid, rel=1e-6)
+    est = sum(float(dbm_to_watts(sample_window(src, 60.0 * k)[0])) for k in range(n)) / n
+    assert mean_power_watts(src) == pytest.approx(est, rel=0.02)
+    flat = FluctuatingSource(-40.0, -40.0, 60.0, seed=0)
+    assert mean_power_watts(flat) == pytest.approx(1e-7, rel=1e-12)
 
 
-def test_antenna_presets_cover_reported_environments():
-    presets = antenna_presets(seed=0)
-    assert set(presets) == {"monopole", "ribbon_dipole"}
-    assert sample_power(presets["monopole"].model, 0.0) == -50.0
-    ribbon = presets["ribbon_dipole"].model
-    assert isinstance(ribbon, FluctuatingSource)
-    assert (ribbon.lo_dbm, ribbon.hi_dbm) == (-43.0, -33.0)
+def test_mean_power_watts_trace_is_time_weighted():
+    # step-hold: -30 dBm for 10 s, then -40 dBm for 30 s up to t_end
+    src = TraceSource(samples=((0.0, -30.0), (10.0, -40.0)), t_end_s=40.0)
+    assert mean_power_watts(src) == pytest.approx((10 * 1e-6 + 30 * 1e-7) / 40, rel=1e-12)
+    single = TraceSource(samples=((0.0, -30.0),))
+    assert mean_power_watts(single) == pytest.approx(1e-6, rel=1e-12)

@@ -84,6 +84,10 @@ def test_unknown_section_and_key_are_rejected_by_name():
         parse_scenario("[source]\nfequency = 1\n")
     with pytest.raises(ScenarioError, match="malformed"):
         parse_scenario("not an ini line\n")
+    # converters have no output setpoint: nothing would read one
+    for key in ("conv1_v_out_setpoint", "conv2_v_out_setpoint"):
+        with pytest.raises(ScenarioError, match=f"storage.{key}"):
+            parse_scenario(f"[storage]\n{key} = 3.3\n")
 
 
 def test_source_type_gates_its_keys():

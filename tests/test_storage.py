@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfharvest.errors import ConverterOffError, QuantityError
+from rfharvest.errors import QuantityError
 from rfharvest.quantities import cap_energy
 from rfharvest.storage import (
     CAP2_V_MAX_DEFAULT,
@@ -14,43 +14,39 @@ from rfharvest.storage import (
     Supercap,
     TransferPolicy,
     cap_euler,
-    cap_step,
-    dcdc_input_current,
+    dcdc_supply_current,
     dcdc_update_running,
     transfer_step,
 )
 
 
 def test_cap_step_charges_linearly_without_leak():
-    cap = Supercap(c=1.0, v=0.0)
-    stepped, leaked = cap_step(cap, i_in=1e-3, dt=1.0)
-    assert stepped.v == pytest.approx(1e-3, rel=1e-12)
+    v, leaked = cap_euler(0.0, 1.0, math.inf, i_in=1e-3, dt=1.0)
+    assert v == pytest.approx(1e-3, rel=1e-12)
     assert leaked == 0.0
 
 
 def test_cap_step_leak_matches_rc_decay():
     # Euler with dt much smaller than tau tracks exp decay closely
     c, r = 1.0, 1000.0
-    cap = Supercap(c=c, v=2.0, r_leak=r)
+    v = 2.0
     dt, t_total = 0.1, 500.0
     steps = int(t_total / dt)
     for _ in range(steps):
-        cap, _ = cap_step(cap, 0.0, dt)
-    assert cap.v == pytest.approx(2.0 * math.exp(-t_total / (r * c)), rel=1e-3)
+        v, _ = cap_euler(v, c, r, 0.0, dt)
+    assert v == pytest.approx(2.0 * math.exp(-t_total / (r * c)), rel=1e-3)
 
 
 def test_cap_step_clamps_at_zero():
-    cap = Supercap(c=0.01, v=0.001, r_leak=1.0)
-    stepped, leaked = cap_step(cap, 0.0, dt=100.0)
-    assert stepped.v == 0.0
+    v, leaked = cap_euler(0.001, 0.01, 1.0, 0.0, dt=100.0)
+    assert v == 0.0
     # the clamp cannot invent energy: leaked is capped at what was there
     assert leaked == pytest.approx(cap_energy(0.01, 0.001), rel=1e-12)
 
 
 def test_cap_step_discharge_below_zero_clamps():
-    cap = Supercap(c=0.01, v=0.1)
-    stepped, _ = cap_step(cap, i_in=-1.0, dt=10.0)
-    assert stepped.v == 0.0
+    v, _ = cap_euler(0.1, 0.01, math.inf, i_in=-1.0, dt=10.0)
+    assert v == 0.0
 
 
 @given(
@@ -94,11 +90,7 @@ def test_cap_euler_open_circuit_never_leaks():
 
 
 def test_cap_step_validates_inputs():
-    cap = Supercap(c=1.0, v=1.0)
-    with pytest.raises(QuantityError):
-        cap_step(cap, 0.0, -1.0)
-    with pytest.raises(QuantityError):
-        cap_step(cap, math.nan, 1.0)
+    # cap_euler itself is an unchecked kernel; the capacitor record is checked
     with pytest.raises(QuantityError):
         Supercap(c=0.0, v=1.0)
     with pytest.raises(QuantityError):
@@ -142,64 +134,63 @@ def test_converter_efficiency_domain():
     DcDcConverter(efficiency=0.9)
 
 
-def test_dcdc_input_current_power_balance():
-    conv = dcdc_update_running(DcDcConverter(enabled=True), 2.0)
-    i_in = dcdc_input_current(conv, 2.0, i_load=10e-3)
-    # v_in * i_in * eff == v_out * i_load
-    assert 2.0 * i_in * 0.9 == pytest.approx(2.45 * 10e-3, rel=1e-12)
-    with pytest.raises(ConverterOffError):
-        dcdc_input_current(DcDcConverter(enabled=True), 2.0, 1e-3)
+def test_converter_cutoff_must_be_positive():
+    # a zero cutoff would let a drained reservoir divide by its own 0 V
+    for bad in (0.0, -0.1):
+        with pytest.raises(QuantityError):
+            DcDcConverter(v_min_operate=bad)
+
+
+def test_dcdc_supply_current_power_balance():
+    conv = DcDcConverter(enabled=True, efficiency=0.9)
+    i_in = dcdc_supply_current(conv, 2.0, p_out=24.5e-3)
+    # v_in * i_in * eff == p_out
+    assert 2.0 * i_in * 0.9 == pytest.approx(24.5e-3, rel=1e-12)
 
 
 def test_transfer_waits_for_start_threshold():
-    cap1 = Supercap(c=1.5, v=0.45)
-    cap2 = Supercap(c=1.0, v=0.0)
     conv1 = DcDcConverter(enabled=True)
     pol = TransferPolicy()
-    c1, c2, cv, moved, lost = transfer_step(cap1, cap2, conv1, pol, 1.0)
+    v1, v2, cv, moved, lost = transfer_step(0.45, 1.5, 0.0, 1.0, conv1, pol, 1.0)
     assert moved == 0.0 and lost == 0.0
-    assert c1.v == 0.45 and c2.v == 0.0
+    assert v1 == 0.45 and v2 == 0.0
     assert not cv.running
 
 
 def test_transfer_moves_energy_with_converter_loss():
-    cap1 = Supercap(c=1.5, v=0.6)
-    cap2 = Supercap(c=1.0, v=0.1)
     conv1 = DcDcConverter(enabled=True)
     pol = TransferPolicy(pump_current=1e-3)
-    c1, c2, cv, moved, lost = transfer_step(cap1, cap2, conv1, pol, 1.0)
+    v1, v2, cv, moved, lost = transfer_step(0.6, 1.5, 0.1, 1.0, conv1, pol, 1.0)
     assert cv.running
-    e1_drop = cap_energy(1.5, 0.6) - cap_energy(1.5, c1.v)
-    e2_gain = cap_energy(1.0, c2.v) - cap_energy(1.0, 0.1)
+    e1_drop = cap_energy(1.5, 0.6) - cap_energy(1.5, v1)
+    e2_gain = cap_energy(1.0, v2) - cap_energy(1.0, 0.1)
     assert moved == pytest.approx(e2_gain, rel=1e-12)
     assert moved + lost == pytest.approx(e1_drop, rel=1e-12)
     assert lost == pytest.approx(e1_drop * 0.1, rel=1e-9)
     # charge moved at the pump current
-    assert 1.5 * (0.6 - c1.v) == pytest.approx(1e-3 * 1.0, rel=1e-12)
+    assert 1.5 * (0.6 - v1) == pytest.approx(1e-3 * 1.0, rel=1e-12)
 
 
 def test_transfer_stops_exactly_at_floor_and_drops_out():
     # barely above the floor: the step is charge-limited, not current-limited
-    cap1 = Supercap(c=1.0, v=0.3004)
-    cap2 = Supercap(c=1.0, v=0.0)
     conv1 = dcdc_update_running(DcDcConverter(enabled=True), 0.6)  # already pumping
     pol = TransferPolicy(pump_current=1e-3)
-    c1, c2, cv, moved, _ = transfer_step(cap1, cap2, conv1, pol, 1.0)
-    assert c1.v == pytest.approx(0.3, abs=1e-12)
+    v1, v2, cv, moved, _ = transfer_step(0.3004, 1.0, 0.0, 1.0, conv1, pol, 1.0)
+    assert v1 == pytest.approx(0.3, abs=1e-12)
     assert not cv.running  # dropout at the floor, restart needs start_v
     assert moved > 0.0
-    c1b, _, cv2, moved2, _ = transfer_step(c1, c2, cv, pol, 1.0)
-    assert moved2 == 0.0 and not cv2.running and c1b.v == c1.v
+    v1b, _, cv2, moved2, _ = transfer_step(v1, 1.0, v2, 1.0, cv, pol, 1.0)
+    assert moved2 == 0.0 and not cv2.running and v1b == v1
 
 
 def test_transfer_pauses_at_cap2_ceiling():
-    cap1 = Supercap(c=1.5, v=1.0)
-    cap2 = Supercap(c=1.0, v=CAP2_V_MAX_DEFAULT)
     conv1 = dcdc_update_running(DcDcConverter(enabled=True), 1.0)
     pol = TransferPolicy()
-    c1, c2, cv, moved, lost = transfer_step(cap1, cap2, conv1, pol, 1.0)
+    v1, v2, cv, moved, lost = transfer_step(
+        1.0, 1.5, CAP2_V_MAX_DEFAULT, 1.0, conv1, pol, 1.0
+    )
     assert moved == 0.0 and lost == 0.0
-    assert c1.v == 1.0 and c2.v == CAP2_V_MAX_DEFAULT
+    assert v1 == 1.0 and v2 == CAP2_V_MAX_DEFAULT
     assert cv.running  # paused, not dropped out
 
 
@@ -212,19 +203,17 @@ def test_transfer_pauses_at_cap2_ceiling():
 @settings(max_examples=200)
 def test_transfer_energy_identity(v1, v2, pump, dt):
     """extracted == moved + lost exactly, and charge never leaves the floor."""
-    cap1 = Supercap(c=1.5, v=v1)
-    cap2 = Supercap(c=1.0, v=v2)
     conv1 = DcDcConverter(enabled=True)
     pol = TransferPolicy(pump_current=pump)
-    c1, c2, cv, moved, lost = transfer_step(cap1, cap2, conv1, pol, dt)
-    e1_drop = cap_energy(1.5, v1) - cap_energy(1.5, c1.v)
-    e2_gain = cap_energy(1.0, c2.v) - cap_energy(1.0, v2)
+    v1_new, v2_new, cv, moved, lost = transfer_step(v1, 1.5, v2, 1.0, conv1, pol, dt)
+    e1_drop = cap_energy(1.5, v1) - cap_energy(1.5, v1_new)
+    e2_gain = cap_energy(1.0, v2_new) - cap_energy(1.0, v2)
     # tolerances scale with stored energy, where the squares cancel
-    scale = max(1.0, cap_energy(1.5, v1), cap_energy(1.0, c2.v))
+    scale = max(1.0, cap_energy(1.5, v1), cap_energy(1.0, v2_new))
     assert abs(e2_gain - moved) <= 1e-12 * scale
     assert abs(e1_drop - (moved + lost)) <= 1e-12 * scale
-    assert c1.v >= pol.stop_v or c1.v == v1  # never pumped below the floor
-    assert c2.v >= v2
+    assert v1_new >= pol.stop_v or v1_new == v1  # never pumped below the floor
+    assert v2_new >= v2
 
 
 def test_transfer_policy_validation():
@@ -232,3 +221,6 @@ def test_transfer_policy_validation():
         TransferPolicy(start_v=0.3, stop_v=0.5)  # inverted hysteresis
     with pytest.raises(QuantityError):
         TransferPolicy(pump_current=0.0)
+    # a negative floor would let the pump drive the harvest cap below zero
+    with pytest.raises(QuantityError):
+        TransferPolicy(stop_v=-0.1)
