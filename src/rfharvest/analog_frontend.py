@@ -20,18 +20,10 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import CalibrationError, QuantityError
-from .quantities import (
-    PowerDbm,
-    PowerWatts,
-    Voltage,
-    fraction,
-    nonnegative,
-    positive,
-    watts_to_dbm,
-)
+from .quantities import fraction, nonnegative, positive, watts_to_dbm
 
 __all__ = [
     "Device",
@@ -131,13 +123,13 @@ class RectifierParams:
 class FrontendOutput:
     """Thevenin equivalent of the whole chain at one operating point."""
 
-    v_oc: Voltage
+    v_oc: float
     r_out: float
 
 
-def delivered_power(p_avail_w: float, refl: ReflectionModel) -> PowerWatts:
+def delivered_power(p_avail_w: float, refl: ReflectionModel) -> float:
     """Power that crosses the antenna interface: p * (1 - gamma_sq)."""
-    return PowerWatts(float(p_avail_w) * (1.0 - refl.gamma_sq))
+    return nonnegative("available power", p_avail_w) * (1.0 - refl.gamma_sq)
 
 
 def tank_gain(tank: ResonantTank, f_hz: float) -> float:
@@ -151,14 +143,15 @@ def tank_gain(tank: ResonantTank, f_hz: float) -> float:
     return tank.q / math.sqrt(1.0 + tank.q * tank.q * x * x)
 
 
-def input_amplitude(tank: ResonantTank, f_hz: float, p_delivered_w: float, r_in: float) -> Voltage:
+def input_amplitude(tank: ResonantTank, f_hz: float, p_delivered_w: float, r_in: float) -> float:
     """Peak carrier amplitude at the rectifier input.
 
     The delivered power dissipates in the multiplier's input resistance, so
     the unboosted amplitude is sqrt(2 * P * r_in); the tank multiplies it.
     """
     p = nonnegative("delivered power", p_delivered_w)
-    return Voltage(tank_gain(tank, f_hz) * math.sqrt(2.0 * p * r_in))
+    r = positive("r_in", r_in)
+    return tank_gain(tank, f_hz) * math.sqrt(2.0 * p * r)
 
 
 def _stage_sum(alpha: float, stages: int) -> float:
@@ -179,7 +172,7 @@ def rectifier_open_circuit(params: RectifierParams, v_peak: float) -> FrontendOu
     vp = nonnegative("v_peak", v_peak)
     s = max(0.0, 2.0 * (vp - params.v_drop))
     v_oc = s * _stage_sum(params.alpha, params.stages)
-    return FrontendOutput(Voltage(v_oc), params.stages * params.r_out_per_stage)
+    return FrontendOutput(v_oc, params.stages * params.r_out_per_stage)
 
 
 def chain_open_circuit(
@@ -198,7 +191,7 @@ def sensitivity_threshold_dbm(
     tank: ResonantTank,
     carrier_hz: float,
     target_v: float = SENSITIVITY_TARGET_V,
-) -> PowerDbm:
+) -> float:
     """Delivered power at which the open-circuit output reaches target_v.
 
     Closed-form inverse of the chain: the required first-stage contribution
@@ -227,27 +220,18 @@ class CalibrationTarget:
     target_v: float = SENSITIVITY_TARGET_V
 
 
-_FREE_PARAM_ORDER = ("v_drop", "alpha", "r_in")
-
-
 def _threshold_for(params: RectifierParams, target: CalibrationTarget) -> float:
-    return float(
-        sensitivity_threshold_dbm(params, target.tank, target.carrier_hz, target.target_v)
-    )
+    return sensitivity_threshold_dbm(params, target.tank, target.carrier_hz, target.target_v)
 
 
-def calibrate_sensitivity(
-    targets: Sequence[CalibrationTarget],
-    fixed: Mapping[str, float],
-    r_out_per_stage: float = DEFAULT_R_OUT_PER_STAGE_OHM,
-) -> RectifierParams:
-    """Fit the non-fixed rectifier parameter so the chain hits the targets.
+def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierParams:
+    """Fit v_drop so the chain hits the targets.
 
-    ``fixed`` pins any of v_drop, alpha, r_in; the first unpinned one (in
-    that order) is solved by bracketed bisection on the first target, then
-    every target is verified to within CALIBRATION_TOL_DB.  All targets in
-    one call must describe the same device and stage count; distinct
-    operating points get distinct parameter sets.
+    alpha, r_in and r_out_per_stage keep their RectifierParams defaults, the
+    shared anchors.  v_drop is solved by bracketed bisection on the first
+    target, then every target is verified to within CALIBRATION_TOL_DB.
+    All targets in one call must describe the same device and stage count;
+    distinct operating points get distinct parameter sets.
     """
     if not targets:
         raise CalibrationError("no calibration targets given")
@@ -258,41 +242,19 @@ def calibrate_sensitivity(
                 f"targets {first.name!r} and {t.name!r} describe different "
                 "hardware; calibrate them separately"
             )
-    unknown = set(fixed) - set(_FREE_PARAM_ORDER)
-    if unknown:
-        raise CalibrationError(f"unknown fixed parameters: {sorted(unknown)}")
-    free = [name for name in _FREE_PARAM_ORDER if name not in fixed]
-    if not free:
-        raise CalibrationError(
-            "no free parameter: v_drop, alpha and r_in are all fixed"
-        )
-    knob = free[0]
+    base = RectifierParams(stages=first.stages, device=first.device)
 
-    base = RectifierParams(
-        stages=first.stages,
-        device=first.device,
-        v_drop=float(fixed.get("v_drop", 0.0)),
-        alpha=float(fixed.get("alpha", DEFAULT_ALPHA)),
-        r_in=float(fixed.get("r_in", DEFAULT_R_IN_OHM)),
-        r_out_per_stage=r_out_per_stage,
-    )
+    def residual(v_drop: float) -> float:
+        return _threshold_for(replace(base, v_drop=v_drop), first) - first.threshold_dbm
 
-    def residual(value: float) -> float:
-        return _threshold_for(replace(base, **{knob: value}), first) - first.threshold_dbm
-
-    # Threshold rises with v_drop and falls with alpha or r_in; orient the
-    # bracket so the residual is negative at lo and positive at hi.
-    if knob == "v_drop":
-        lo, hi = 0.0, 10.0
-    elif knob == "alpha":
-        lo, hi = 1.0, 1e-9
-    else:  # r_in
-        lo, hi = 1e9, 1e-3
+    # The threshold rises with v_drop: the residual is negative at lo and
+    # positive at hi.
+    lo, hi = 0.0, 10.0
     r_lo, r_hi = residual(lo), residual(hi)
     if not (r_lo <= 0.0 <= r_hi):
         raise CalibrationError(
             f"target {first.name!r} ({first.threshold_dbm} dBm) is not "
-            f"bracketed by any {knob}: residuals [{r_lo:+.3f}, {r_hi:+.3f}] dB"
+            f"bracketed by any v_drop: residuals [{r_lo:+.3f}, {r_hi:+.3f}] dB"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -302,14 +264,14 @@ def calibrate_sensitivity(
             hi = mid
         if abs(residual(lo)) <= 1e-9:
             break
-    fitted = replace(base, **{knob: lo})
+    fitted = replace(base, v_drop=lo)
 
     for t in targets:
         err = _threshold_for(fitted, t) - t.threshold_dbm
         if abs(err) > CALIBRATION_TOL_DB:
             raise CalibrationError(
                 f"target {t.name!r} missed by {err:+.3f} dB with the fitted "
-                f"{knob}; targets are contradictory or infeasible"
+                "v_drop; targets are contradictory or infeasible"
             )
     return fitted
 
@@ -353,14 +315,11 @@ def preset_targets() -> dict[str, CalibrationTarget]:
 def builtin_frontend_presets() -> dict[str, FrontendPreset]:
     """Calibrated parameter sets for the three shipped operating points.
 
-    Recomputed from the targets on first use; v_drop is the fitted knob with
-    alpha and r_in pinned to the shared anchors.
+    Recomputed from the targets on first use; v_drop is the fitted knob.
     """
     presets: dict[str, FrontendPreset] = {}
     for name, target in preset_targets().items():
-        params = calibrate_sensitivity(
-            [target], fixed={"alpha": DEFAULT_ALPHA, "r_in": DEFAULT_R_IN_OHM}
-        )
+        params = calibrate_sensitivity([target])
         presets[name] = FrontendPreset(
             name=name,
             params=params,

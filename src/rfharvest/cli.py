@@ -23,8 +23,6 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .analog_frontend import (
     CALIBRATION_TOL_DB,
-    DEFAULT_ALPHA,
-    DEFAULT_R_IN_OHM,
     CalibrationTarget,
     Device,
     RectifierParams,
@@ -82,16 +80,6 @@ def _load_bundle(path: str | None) -> ScenarioBundle:
     raise ScenarioError(f"scenario file not found: {path!r}")
 
 
-def _pick_scenario_arg(args: argparse.Namespace) -> str | None:
-    pos = getattr(args, "scenario_pos", None)
-    flag = getattr(args, "scenario", None)
-    if pos is not None and flag is not None and pos != flag:
-        raise ScenarioError(
-            f"scenario given twice with different values: {pos!r} and {flag!r}"
-        )
-    return pos if pos is not None else flag
-
-
 def format_budget(profiles: tuple[LoadProfile, ...]) -> str:
     """Power-budget table: per-profile V, I, T, E rows plus the total.
 
@@ -114,6 +102,18 @@ def format_budget(profiles: tuple[LoadProfile, ...]) -> str:
         cells += [r[c].rjust(widths[c]) for c in range(1, 5)]
         out.append("  ".join(cells).rstrip())
     return "\n".join(out)
+
+
+def _format_assumptions(bundle: ScenarioBundle) -> list[str]:
+    """Report lines echoing every defaulted value; empty when all are set."""
+    assumptions = bundle.assumptions()
+    if not assumptions:
+        return []
+    out = ["", "== Assumptions (values not set explicitly) =="]
+    for key, value, origin in assumptions:
+        tag = " (from preset)" if origin == "preset" else ""
+        out.append(f"{key} = {value}{tag}")
+    return out
 
 
 def _days(seconds: float) -> str:
@@ -185,12 +185,7 @@ def format_run_report(bundle: ScenarioBundle, result: SimResult) -> str:
                     "operating point."
                 )
 
-    assumptions = bundle.assumptions()
-    if assumptions:
-        out += ["", "== Assumptions (values not set explicitly) =="]
-        for key, value, origin in assumptions:
-            tag = " (from preset)" if origin == "preset" else ""
-            out.append(f"{key} = {value}{tag}")
+    out += _format_assumptions(bundle)
 
     if bundle.notes:
         out += ["", "== Notes =="]
@@ -206,7 +201,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    bundle = _load_bundle(_pick_scenario_arg(args))
+    bundle = _load_bundle(args.scenario)
     if args.seed is not None:
         bundle = apply_override(bundle, "engine.seed", str(args.seed))
     if args.until is not None:
@@ -221,15 +216,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    bundle = _load_bundle(_pick_scenario_arg(args))
-    text = format_budget(bundle.scenario.management.profiles) + "\n"
-    assumptions = bundle.assumptions()
-    if assumptions:
-        text += "\n== Assumptions (values not set explicitly) ==\n"
-        for key, value, origin in assumptions:
-            tag = " (from preset)" if origin == "preset" else ""
-            text += f"{key} = {value}{tag}\n"
-    _emit(text, args.out)
+    bundle = _load_bundle(args.scenario)
+    out = [format_budget(bundle.scenario.management.profiles)] + _format_assumptions(bundle)
+    _emit("\n".join(out) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -298,9 +287,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sections: list[str] = []
     lines: list[str] = []
     for group in groups.values():
-        params = calibrate_sensitivity(
-            group, fixed={"alpha": DEFAULT_ALPHA, "r_in": DEFAULT_R_IN_OHM}
-        )
+        params = calibrate_sensitivity(group)
         achieved_by_name: dict[str, float] = {}
         for t in group:
             achieved = sensitivity_threshold_dbm(
@@ -332,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--sweep wants KEY=V1,V2,..., got {args.sweep!r}"
         )
     values = [v for v in raw_values.split(",") if v.strip() != ""]
-    base = _load_bundle(_pick_scenario_arg(args))
+    base = _load_bundle(args.scenario)
     if args.seed is not None:
         base = apply_override(base, "engine.seed", str(args.seed))
 
@@ -365,10 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "scenario_pos", nargs="?", metavar="SCENARIO", default=None,
+            "scenario", nargs="?", metavar="SCENARIO", default=None,
             help="scenario file path or shipped scenario name",
         )
-        p.add_argument("--scenario", metavar="PATH", help="scenario file path")
         p.add_argument("--out", metavar="PATH", help="also write output here")
 
     p_run = sub.add_parser("run", help="run one scenario and print the report")

@@ -246,10 +246,8 @@ class Engine:
         self.sw_zigbee = mg.switch_zigbee
         self.plan = build_cycle_plan(mg.profiles, mg.switch_sensor, mg.switch_zigbee)
         if mg.loads_enabled:
-            self.go_threshold = float(
-                resolve_go_threshold(
-                    mg.monitor, mg.profiles, st.cap2.c, st.conv2.v_min_operate, st.conv2.efficiency
-                )
+            self.go_threshold = resolve_go_threshold(
+                mg.monitor, mg.profiles, st.cap2.c, st.conv2.v_min_operate, st.conv2.efficiency
             )
         else:
             self.go_threshold = None
@@ -278,14 +276,14 @@ class Engine:
         self._window_dbm = float(dbm)
         self._window_until = float(until)
         fe = self.scenario.frontend
-        p_avail = float(dbm_to_watts(dbm))
-        p_del = float(delivered_power(p_avail, fe.reflection))
+        p_avail = dbm_to_watts(dbm)
+        p_del = delivered_power(p_avail, fe.reflection)
         self._p_avail = p_avail
         self._p_del = p_del
         if fe.coupling == COUPLING_THEVENIN:
             out = chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del)
-            self._v_oc = float(out.v_oc)
-            self._r_out = float(out.r_out)
+            self._v_oc = out.v_oc
+            self._r_out = out.r_out
         else:
             self._p_ideal = fe.ideal_efficiency * p_del
 
@@ -363,6 +361,7 @@ class Engine:
         v2 = self.v2
         c2 = self.c2
         e2_before = 0.5 * c2 * v2 * v2
+        i_draw = 0.0
         if sc.management.loads_enabled:
             sm = self.sm
             mon = sc.management.monitor
@@ -381,38 +380,32 @@ class Engine:
                 elif event == "abort":
                     self.aborted_cycles += 1
             i_draw = i_mon
-            p_out = 0.0
             if draws:
-                p_out = sum(p for _, p in draws)
-                i_draw += dcdc_supply_current(self.conv2, v2, p_out)
-            v2, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
-            e2_after = 0.5 * c2 * v2 * v2
-            e_drawn = e2_before - e2_after - leaked2
+                i_draw += dcdc_supply_current(self.conv2, v2, sum(p for _, p in draws))
+        v2, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
+        led.e_leaked += leaked2
+        if i_draw > 0.0:
+            e_drawn = e2_before - 0.5 * c2 * v2 * v2 - leaked2
             by = led.e_load_by_component
-            if i_draw > 0.0:
-                mon_share = i_mon * 0.5 * (self.v2 + v2) * dt
-                if mon_share > 0.0:
-                    by[mon_kind] = by.get(mon_kind, 0.0) + mon_share
-                    self._e_load_total += mon_share
-                if draws:
-                    e_loads = 0.0
-                    for name, p in draws:
-                        e = p * dt
-                        by[name] = by.get(name, 0.0) + e
-                        e_loads += e
-                    self._e_load_total += e_loads
-                    led.e_converter_loss += (e_drawn - mon_share) - e_loads
-                else:
-                    # No converter path active: the whole non-monitor part
-                    # (float noise at most) folds into the monitor share.
-                    extra = e_drawn - mon_share
-                    if extra != 0.0 and mon_share > 0.0:
-                        by[mon_kind] += extra
-                        self._e_load_total += extra
-            led.e_leaked += leaked2
-        else:
-            v2, leaked2 = cap_euler(v2, c2, self.r2, 0.0, dt)
-            led.e_leaked += leaked2
+            mon_share = i_mon * 0.5 * (self.v2 + v2) * dt
+            if mon_share > 0.0:
+                by[mon_kind] = by.get(mon_kind, 0.0) + mon_share
+                self._e_load_total += mon_share
+            if draws:
+                e_loads = 0.0
+                for name, p in draws:
+                    e = p * dt
+                    by[name] = by.get(name, 0.0) + e
+                    e_loads += e
+                self._e_load_total += e_loads
+                led.e_converter_loss += (e_drawn - mon_share) - e_loads
+            else:
+                # No converter path active: the whole non-monitor part
+                # (float noise at most) folds into the monitor share.
+                extra = e_drawn - mon_share
+                if extra != 0.0 and mon_share > 0.0:
+                    by[mon_kind] += extra
+                    self._e_load_total += extra
         self.v2 = v2
 
         self.t = t + dt
@@ -446,10 +439,7 @@ class Engine:
             while self.t < t_end - 1e-12:
                 if self.t >= self._window_until:
                     self._refresh_window()
-                dt = self._pick_dt()
-                if dt <= 0.0:
-                    break
-                self.step(dt)
+                self.step(self._pick_dt())
                 if trace is not None:
                     led = self.ledger
                     trace.write(

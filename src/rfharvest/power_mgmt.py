@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import QuantityError, ScenarioError, TransitionError
-from .quantities import Voltage, finite, fraction, nonnegative, positive
+from .quantities import finite, fraction, nonnegative, positive
 from .storage import DcDcConverter, Supercap, cap_euler, dcdc_supply_current, dcdc_update_running
 
 __all__ = [
@@ -123,7 +123,7 @@ def cycle_energy(profiles: tuple[LoadProfile, ...]) -> float:
     return sum(p.energy for p in profiles)
 
 
-def required_go_voltage(e_cycle: float, c: float, v_floor: float, efficiency: float) -> Voltage:
+def required_go_voltage(e_cycle: float, c: float, v_floor: float, efficiency: float) -> float:
     """Minimum reservoir voltage from which a cycle can be supplied.
 
     Inverts the usable-energy relation: drawing e_cycle / efficiency from a
@@ -133,7 +133,7 @@ def required_go_voltage(e_cycle: float, c: float, v_floor: float, efficiency: fl
     fraction("efficiency", efficiency)
     e = nonnegative("cycle energy", e_cycle)
     vf = nonnegative("v_floor", v_floor)
-    return Voltage(math.sqrt(vf * vf + 2.0 * e / (c * efficiency)))
+    return math.sqrt(vf * vf + 2.0 * e / (c * efficiency))
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,9 @@ class MonitorConfig:
     go_threshold: float | None = None  # None: derived from the cycle budget
 
     def __post_init__(self):
-        if not self.wake_period > 0:
+        if not self.wake_period > 0:  # +inf is legal: the monitor never wakes
             raise QuantityError(f"wake_period must be positive, got {self.wake_period!r}")
-        if not self.check_duration > 0:
-            raise QuantityError(f"check_duration must be positive, got {self.check_duration!r}")
+        positive("check_duration", self.check_duration)
         nonnegative("i_sleep", self.i_sleep)
         nonnegative("i_active", self.i_active)
         finite("v_min_operate", self.v_min_operate)
@@ -170,13 +169,13 @@ def resolve_go_threshold(
     cap2_c: float,
     conv_v_floor: float,
     conv_efficiency: float,
-) -> Voltage:
+) -> float:
     """The go threshold actually used: explicit override, or the energy
     requirement of one cycle, but never below the monitor's own minimum."""
     if cfg.go_threshold is not None:
-        return Voltage(cfg.go_threshold)
+        return cfg.go_threshold
     need = required_go_voltage(cycle_energy(profiles), cap2_c, conv_v_floor, conv_efficiency)
-    return Voltage(max(float(need), cfg.v_min_operate))
+    return max(need, cfg.v_min_operate)
 
 
 @dataclass(frozen=True)

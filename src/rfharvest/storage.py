@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import QuantityError
-from .quantities import Resistance, finite, fraction, nonnegative, positive
+from .quantities import finite, fraction, nonnegative, positive
 
 __all__ = [
     "Supercap",
@@ -50,7 +50,10 @@ class Supercap:
 
     def __post_init__(self):
         positive(f"{self.name}: capacitance", self.c)
-        Resistance(self.r_leak)
+        if not self.r_leak > 0.0:  # +inf is legal: an open circuit, no leak
+            raise QuantityError(
+                f"{self.name}: leak resistance must be > 0, got {self.r_leak!r}"
+            )
         nonnegative(f"{self.name}: voltage", self.v)
 
 

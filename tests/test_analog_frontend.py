@@ -139,9 +139,8 @@ def test_calibrate_single_target_converges():
     target = CalibrationTarget(
         "custom", Device.SCHOTTKY, 12, 250e6, ResonantTank(250e6, 2.0), -22.0
     )
-    params = calibrate_sensitivity(
-        [target], fixed={"alpha": DEFAULT_ALPHA, "r_in": DEFAULT_R_IN_OHM}
-    )
+    params = calibrate_sensitivity([target])
+    assert (params.alpha, params.r_in) == (DEFAULT_ALPHA, DEFAULT_R_IN_OHM)
     achieved = sensitivity_threshold_dbm(params, target.tank, 250e6)
     assert abs(achieved - (-22.0)) <= CALIBRATION_TOL_DB
 
@@ -154,9 +153,7 @@ def test_calibrate_contradictory_targets_fail():
         "b", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -28.0
     )
     with pytest.raises(CalibrationError):
-        calibrate_sensitivity(
-            [t1, t2], fixed={"alpha": DEFAULT_ALPHA, "r_in": DEFAULT_R_IN_OHM}
-        )
+        calibrate_sensitivity([t1, t2])
 
 
 def test_calibrate_rejects_mixed_hardware_and_overpinning():
@@ -167,13 +164,9 @@ def test_calibrate_rejects_mixed_hardware_and_overpinning():
         "b", Device.ZERO_VT_MOSFET, 25, 100e6, ResonantTank(100e6, 1.0), -37.0
     )
     with pytest.raises(CalibrationError):
-        calibrate_sensitivity([t1, t2], fixed={"alpha": 0.7})
+        calibrate_sensitivity([t1, t2])
     with pytest.raises(CalibrationError):
-        calibrate_sensitivity(
-            [t1], fixed={"v_drop": 0.3, "alpha": 0.7, "r_in": 5000.0}
-        )
-    with pytest.raises(CalibrationError):
-        calibrate_sensitivity([], fixed={})
+        calibrate_sensitivity([])
 
 
 def test_preset_targets_match_reported_sensitivities():

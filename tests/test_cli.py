@@ -139,12 +139,17 @@ def test_run_missing_scenario_file_exits_with_usage_error(capsys):
     assert "error: scenario file not found: '/nope/missing.scenario'" in err
 
 
-def test_run_rejects_conflicting_scenario_arguments(tmp_path, capsys):
-    a = _write(tmp_path, "a.scenario", "[engine]\nt_end_s = 10.0\n")
-    b = _write(tmp_path, "b.scenario", "[engine]\nt_end_s = 20.0\n")
-    code, _, err = _run(capsys, ["run", a, "--scenario", b])
+@pytest.mark.parametrize("text, message", [
+    ("[management]\ncheck_duration_s = inf\n",
+     "error: check_duration must be positive and finite"),
+    ("[source]\ntype = constant\nlevel_dbm = 4000\n[engine]\nt_end_s = 10.0\n",
+     "error: dBm level 4000.0 is too large"),
+])
+def test_run_rejects_out_of_range_values(tmp_path, capsys, text, message):
+    code, out, err = _run(capsys, ["run", _write(tmp_path, "s.scenario", text)])
     assert code == 2
-    assert "scenario given twice with different values" in err
+    assert out == ""
+    assert message in err
 
 
 def test_run_maps_ledger_error_to_consistency_exit(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Integrated engine runs: anchors, conservation, determinism, stepping."""
 
+import hashlib
 import math
 
 import pytest
@@ -196,6 +197,21 @@ def test_duty_cycle_trace_structure(tmp_path):
     # energy columns are cumulative
     harvested = [float(r[5]) for r in rows]
     assert all(b >= a for a, b in zip(harvested, harvested[1:]))
+
+
+def test_hot_scenario_trace_bytes_are_pinned(tmp_path):
+    """Every printed digit of a full duty cycle's per-step trace.
+
+    Refactors of the step arithmetic must leave the trace byte-identical;
+    a change that moves a number on purpose re-pins this and says so.
+    """
+    trace = tmp_path / "hot.csv"
+    run_scenario(_hot_scenario(), trace_path=str(trace))
+    data = trace.read_bytes()
+    assert data.count(b"\n") == 18428
+    assert hashlib.sha256(data).hexdigest() == (
+        "53f813767bdcaa44210b6012fc3d981df08ba79f04749779fc1816ca51d18e82"
+    )
 
 
 def test_cycle_invariants_stepwise():

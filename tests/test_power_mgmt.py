@@ -67,6 +67,8 @@ def test_required_go_voltage_oracle():
     assert v == pytest.approx(0.8950481054731702, rel=1e-14)
     # rounds to the handbook 0.8951
     assert round(v, 4) == 0.8950 or abs(v - 0.8951) < 1e-4
+    # 1 F from that voltage holds 0.32 J / 0.9 efficiency above the 0.3 V floor
+    assert 0.5 * v * v - 0.5 * 0.3 * 0.3 == pytest.approx(0.32 / 0.9, rel=1e-12)
 
 
 def test_required_go_voltage_monotonicity():

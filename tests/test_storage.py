@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfharvest.errors import QuantityError
-from rfharvest.quantities import cap_energy
 from rfharvest.storage import (
     CAP2_V_MAX_DEFAULT,
     DcDcConverter,
@@ -20,13 +19,18 @@ from rfharvest.storage import (
 )
 
 
-def test_cap_step_charges_linearly_without_leak():
+def _energy(c, v):
+    """Energy stored on a capacitor: E = C * V^2 / 2."""
+    return 0.5 * c * v * v
+
+
+def test_cap_euler_charges_linearly_without_leak():
     v, leaked = cap_euler(0.0, 1.0, math.inf, i_in=1e-3, dt=1.0)
     assert v == pytest.approx(1e-3, rel=1e-12)
     assert leaked == 0.0
 
 
-def test_cap_step_leak_matches_rc_decay():
+def test_cap_euler_leak_matches_rc_decay():
     # Euler with dt much smaller than tau tracks exp decay closely
     c, r = 1.0, 1000.0
     v = 2.0
@@ -37,14 +41,14 @@ def test_cap_step_leak_matches_rc_decay():
     assert v == pytest.approx(2.0 * math.exp(-t_total / (r * c)), rel=1e-3)
 
 
-def test_cap_step_clamps_at_zero():
+def test_cap_euler_clamps_at_zero():
     v, leaked = cap_euler(0.001, 0.01, 1.0, 0.0, dt=100.0)
     assert v == 0.0
     # the clamp cannot invent energy: leaked is capped at what was there
-    assert leaked == pytest.approx(cap_energy(0.01, 0.001), rel=1e-12)
+    assert leaked == pytest.approx(_energy(0.01, 0.001), rel=1e-12)
 
 
-def test_cap_step_discharge_below_zero_clamps():
+def test_cap_euler_discharge_below_zero_clamps():
     v, _ = cap_euler(0.1, 0.01, math.inf, i_in=-1.0, dt=10.0)
     assert v == 0.0
 
@@ -71,7 +75,7 @@ def test_cap_euler_energy_closure(c, v, r_leak, i, dt):
     assert leaked >= 0.0
     clamped = v_new == 0.0 and v + (i - v / r_leak) * dt / c < 0.0
     if clamped and i < 0.0:
-        assert leaked <= cap_energy(c, v) + 1e-18
+        assert leaked <= _energy(c, v) + 1e-18
         return
     v_mid = 0.5 * (v + v_new)
     e_in = i * v_mid * dt
@@ -89,12 +93,17 @@ def test_cap_euler_open_circuit_never_leaks():
     assert leaked == 0.0
 
 
-def test_cap_step_validates_inputs():
+def test_supercap_validates_inputs():
     # cap_euler itself is an unchecked kernel; the capacitor record is checked
     with pytest.raises(QuantityError):
         Supercap(c=0.0, v=1.0)
     with pytest.raises(QuantityError):
         Supercap(c=1.0, v=-0.1)
+    for bad in (0.0, math.nan):
+        with pytest.raises(QuantityError, match="cap2: leak resistance"):
+            Supercap(c=1.0, v=1.0, r_leak=bad, name="cap2")
+    # open circuit is a legal leak resistance
+    assert Supercap(c=1.0, v=1.0, r_leak=math.inf).r_leak == math.inf
 
 
 def test_converter_hysteresis():
@@ -162,8 +171,8 @@ def test_transfer_moves_energy_with_converter_loss():
     pol = TransferPolicy(pump_current=1e-3)
     v1, v2, cv, moved, lost = transfer_step(0.6, 1.5, 0.1, 1.0, conv1, pol, 1.0)
     assert cv.running
-    e1_drop = cap_energy(1.5, 0.6) - cap_energy(1.5, v1)
-    e2_gain = cap_energy(1.0, v2) - cap_energy(1.0, 0.1)
+    e1_drop = _energy(1.5, 0.6) - _energy(1.5, v1)
+    e2_gain = _energy(1.0, v2) - _energy(1.0, 0.1)
     assert moved == pytest.approx(e2_gain, rel=1e-12)
     assert moved + lost == pytest.approx(e1_drop, rel=1e-12)
     assert lost == pytest.approx(e1_drop * 0.1, rel=1e-9)
@@ -206,10 +215,10 @@ def test_transfer_energy_identity(v1, v2, pump, dt):
     conv1 = DcDcConverter(enabled=True)
     pol = TransferPolicy(pump_current=pump)
     v1_new, v2_new, cv, moved, lost = transfer_step(v1, 1.5, v2, 1.0, conv1, pol, dt)
-    e1_drop = cap_energy(1.5, v1) - cap_energy(1.5, v1_new)
-    e2_gain = cap_energy(1.0, v2_new) - cap_energy(1.0, v2)
+    e1_drop = _energy(1.5, v1) - _energy(1.5, v1_new)
+    e2_gain = _energy(1.0, v2_new) - _energy(1.0, v2)
     # tolerances scale with stored energy, where the squares cancel
-    scale = max(1.0, cap_energy(1.5, v1), cap_energy(1.0, v2_new))
+    scale = max(1.0, _energy(1.5, v1), _energy(1.0, v2_new))
     assert abs(e2_gain - moved) <= 1e-12 * scale
     assert abs(e1_drop - (moved + lost)) <= 1e-12 * scale
     assert v1_new >= pol.stop_v or v1_new == v1  # never pumped below the floor
