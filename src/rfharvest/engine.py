@@ -42,6 +42,7 @@ from .power_mgmt import (
     NodeStateMachine,
     build_cycle_plan,
     cycle_substep,
+    duration_steps,
     monitor_step,
     resolve_go_threshold,
     table1_profiles,
@@ -160,7 +161,6 @@ class Scenario:
     storage: StorageConfig
     management: ManagementConfig
     engine: EngineConfig = field(default_factory=EngineConfig)
-    notes: str = ""
 
 
 @dataclass
@@ -251,7 +251,9 @@ class Engine:
             )
         else:
             self.go_threshold = None
-        self.check_steps = max(1, round(mg.monitor.check_duration / scenario.engine.dt_fine))
+        self.check_steps = duration_steps(
+            "check_duration", mg.monitor.check_duration, scenario.engine.dt_fine
+        )
 
         self.ledger = EnergyLedger()
         self._e_load_total = 0.0

@@ -326,10 +326,15 @@ def monitor_step(
     raise TransitionError(f"monitor cannot step from state {sm.state!r}")
 
 
-def _steps(duration_s: float, dt: float) -> int:
+def duration_steps(label: str, duration_s: float, dt: float) -> int:
+    """Whole steps of dt that cover duration_s: 0 for an empty phase,
+    otherwise at least one."""
     if duration_s <= 0:
         return 0
-    return max(1, round(duration_s / dt))
+    n = duration_s / dt
+    if not math.isfinite(n):
+        raise QuantityError(f"{label} {duration_s!r} s spans too many {dt!r} s steps")
+    return max(1, round(n))
 
 
 def cycle_substep(
@@ -375,7 +380,7 @@ def cycle_substep(
         # Converter is up; hand the controller its first phase.
         sm.state = NodeState.HANDOFF
         sm.enable_controller = True
-        sm.phase_steps_left = _steps(plan.handoff_s, dt)
+        sm.phase_steps_left = duration_steps("handoff", plan.handoff_s, dt)
         return [], conv2, sw_sensor, sw_zigbee, ""
 
     draws: list[tuple[str, float]] = [("controller", plan.p_controller)]
@@ -392,12 +397,12 @@ def cycle_substep(
             # Controller owns the enable line now; the monitor lets go.
             sm.enable_monitor = False
             sm.state = NodeState.MEASURE
-            sm.phase_steps_left = _steps(plan.measure_s, dt)
+            sm.phase_steps_left = duration_steps("sensor on-time", plan.measure_s, dt)
             sw_sensor = replace(sw_sensor, closed=True)
         elif sm.state is NodeState.MEASURE:
             sw_sensor = replace(sw_sensor, closed=False)
             sm.state = NodeState.TRANSMIT
-            sm.phase_steps_left = _steps(plan.transmit_s, dt)
+            sm.phase_steps_left = duration_steps("zigbee on-time", plan.transmit_s, dt)
             sw_zigbee = replace(sw_zigbee, closed=True)
         elif sm.state is NodeState.TRANSMIT:
             sw_zigbee = replace(sw_zigbee, closed=False)
@@ -442,7 +447,8 @@ def run_cycle(
     success = False
     aborted_in: NodeState | None = None
     # Hard cap on runaway loops: the whole cycle is seconds long.
-    max_steps = 10 * (_steps(plan.handoff_s + plan.measure_s + plan.transmit_s, dt) + 2)
+    cycle_s = plan.handoff_s + plan.measure_s + plan.transmit_s
+    max_steps = 10 * (duration_steps("cycle", cycle_s, dt) + 2)
     for _ in range(max_steps):
         state_before = sm.state
         draws, conv2, sw_sensor, sw_zigbee, event = cycle_substep(

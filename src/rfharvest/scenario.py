@@ -3,8 +3,7 @@
 Sections [source], [frontend], [storage], [management], [engine], plus a
 free-text [notes].  Every field is addressable by a dotted key such as
 "frontend.stages" or "management.profile.zigbee.t_s"; unknown keys are
-rejected, missing keys fall back to documented defaults, and the parsed
-result re-serializes to an equivalent file.
+rejected, and missing keys fall back to documented defaults.
 
 Each resolved key records where its value came from (explicit, default,
 or preset) so reports can echo every assumption that influenced a run
@@ -14,9 +13,8 @@ without the user having written it down.
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .analog_frontend import (
@@ -39,7 +37,6 @@ from .rf_environment import (
     ConstantSource,
     FluctuatingSource,
     RfSourceModel,
-    TraceSource,
     load_trace_csv,
 )
 from .storage import DcDcConverter, Supercap, TransferPolicy
@@ -50,7 +47,6 @@ __all__ = [
     "default_values",
     "parse_scenario",
     "load_scenario",
-    "dump_scenario",
     "apply_override",
     "build_scenario",
     "builtin_scenario_names",
@@ -63,19 +59,6 @@ _SECTIONS = ("source", "frontend", "storage", "management", "engine", "notes")
 _SOURCE_TYPES = ("constant", "fluctuating", "trace")
 
 _PRESET_NONE = "none"
-
-# Frontend keys a preset provides; explicit values override the preset.
-_PRESET_KEYS = (
-    "frontend.device",
-    "frontend.stages",
-    "frontend.v_drop",
-    "frontend.alpha",
-    "frontend.r_in_ohm",
-    "frontend.r_out_per_stage_ohm",
-    "frontend.tank_f0_hz",
-    "frontend.tank_q",
-    "frontend.carrier_hz",
-)
 
 
 @dataclass(frozen=True)
@@ -147,8 +130,6 @@ _KEYS: tuple[_Key, ...] = (
     ),
     _Key("management.switch_r_on_ohm", "float", "0.045", "load switch on-resistance"),
     _Key("management.profile.monitor_active.v", "float", "1.8", "monitor check rail voltage"),
-    _Key("management.profile.monitor_active.i_a", "float", "1e-05", "monitor check current"),
-    _Key("management.profile.monitor_active.t_s", "float", "10.0", "monitor check on-time"),
     _Key("management.profile.controller_active.v", "float", "1.8", "controller rail voltage"),
     _Key("management.profile.controller_active.i_a", "float", "1e-05", "controller current"),
     _Key("management.profile.controller_active.t_s", "float", "8.0", "controller on-time per cycle"),
@@ -408,7 +389,13 @@ def build_scenario(values: dict[str, str]) -> Scenario:
             go_threshold=g("management.go_threshold_v"),
         ),
         profiles=(
-            profile("monitor_active"),
+            # The budget's monitor row is the engine's voltage check.
+            LoadProfile(
+                name="monitor_active",
+                v=g("management.profile.monitor_active.v"),
+                i=g("management.i_active_a"),
+                t=g("management.check_duration_s"),
+            ),
             profile("controller_active"),
             profile("sensor"),
             profile("zigbee"),
@@ -433,7 +420,6 @@ def build_scenario(values: dict[str, str]) -> Scenario:
         storage=storage,
         management=management,
         engine=engine,
-        notes=values.get("notes.text", ""),
     )
 
 
@@ -445,36 +431,6 @@ def load_scenario(path: str) -> ScenarioBundle:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from None
     return parse_scenario(text, path=path)
-
-
-def dump_scenario(bundle: ScenarioBundle) -> str:
-    """Serialize every resolved value back to scenario text.
-
-    Re-parsing the output reproduces the same resolved values, so the
-    round trip is stable; origins become explicit on reload.
-    """
-    out = io.StringIO()
-    current = None
-    for k in _KEYS:
-        if k.name not in bundle.values:
-            continue
-        section, _, option = k.name.partition(".")
-        if section == "notes":
-            continue
-        if section != current:
-            if current is not None:
-                out.write("\n")
-            out.write(f"[{section}]\n")
-            current = section
-        out.write(f"{option} = {bundle.values[k.name]}\n")
-    notes = bundle.values.get("notes.text", "")
-    if notes:
-        out.write("\n[notes]\n")
-        lines = notes.splitlines() or [""]
-        out.write("text = " + lines[0] + "\n")
-        for line in lines[1:]:
-            out.write("    " + line + "\n")
-    return out.getvalue()
 
 
 def apply_override(bundle: ScenarioBundle, name: str, raw: str) -> ScenarioBundle:

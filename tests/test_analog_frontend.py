@@ -156,7 +156,7 @@ def test_calibrate_contradictory_targets_fail():
         calibrate_sensitivity([t1, t2])
 
 
-def test_calibrate_rejects_mixed_hardware_and_overpinning():
+def test_calibrate_rejects_mixed_hardware_and_no_targets():
     t1 = CalibrationTarget(
         "a", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -18.0
     )

@@ -45,6 +45,14 @@ def test_budget_scales_with_profile_override(tmp_path, capsys):
     assert re.search(r"total\s+0\.63\s*$", out, re.MULTILINE)
 
 
+def test_budget_monitor_row_follows_check_settings(tmp_path, capsys):
+    scn = _write(tmp_path, "long_check.scenario",
+                 "[management]\ncheck_duration_s = 20\ni_active_a = 2e-5\n")
+    code, out, _ = _run(capsys, ["budget", scn])
+    assert code == 0
+    assert re.search(r"monitor_active\s+1\.80\s+0\.00002\s+20\.0\s+0\.00072", out)
+
+
 def test_budget_lists_assumptions_but_not_explicit_keys(tmp_path, capsys):
     scn = _write(tmp_path, "explicit.scenario",
                  "[storage]\ncap2_c_f = 2.0\n")
@@ -144,6 +152,15 @@ def test_run_missing_scenario_file_exits_with_usage_error(capsys):
      "error: check_duration must be positive and finite"),
     ("[source]\ntype = constant\nlevel_dbm = 4000\n[engine]\nt_end_s = 10.0\n",
      "error: dBm level 4000.0 is too large"),
+    ("[management]\ncheck_duration_s = 1e306\n",
+     "error: check_duration 1e+306 s spans too many"),
+    ("[source]\ntype = constant\nlevel_dbm = -20.0\n\n"
+     "[frontend]\ngamma_sq = 0.0\n\n"
+     "[storage]\ncap1_c_f = 0.1\ncap2_c_f = 0.05\n\n"
+     "[management]\nwake_period_s = 300.0\ngo_threshold_v = 2.0\n"
+     "profile.sensor.t_s = 1e306\n\n"
+     "[engine]\nt_end_s = 1000.0\n",
+     "error: sensor on-time 1e+306 s spans too many"),
 ])
 def test_run_rejects_out_of_range_values(tmp_path, capsys, text, message):
     code, out, err = _run(capsys, ["run", _write(tmp_path, "s.scenario", text)])

@@ -17,7 +17,7 @@ MODULES = (
 )
 
 
-@pytest.mark.parametrize("module", ("rfharvest",) + tuple(f"rfharvest.{m}" for m in MODULES))
+@pytest.mark.parametrize("module", tuple(f"rfharvest.{m}" for m in MODULES))
 def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     exported = getattr(mod, "__all__", ())

@@ -1,4 +1,4 @@
-"""Scenario file format: defaults, presets, round trips, rejection."""
+"""Scenario file format: defaults, presets, rejection."""
 
 import math
 
@@ -10,7 +10,6 @@ from rfharvest.scenario import (
     apply_override,
     builtin_scenario_names,
     default_values,
-    dump_scenario,
     load_scenario,
     parse_scenario,
     read_builtin_scenario,
@@ -51,32 +50,6 @@ def test_default_origins_and_assumptions():
     assert origins["management.wake_period_s"] == "default"
 
 
-def test_roundtrip_dump_parse_is_stable():
-    text = """
-[source]
-type = fluctuating
-lo_dbm = -45
-seed = 3
-
-[frontend]
-preset = schottky_100MHz
-
-[management]
-wake_period_s = 3600
-
-[notes]
-text = first line
-    second line with detail
-"""
-    b1 = parse_scenario(text)
-    dumped = dump_scenario(b1)
-    b2 = parse_scenario(dumped)
-    assert b1.values == b2.values
-    assert b1.scenario == b2.scenario
-    assert dump_scenario(b2) == dumped
-    assert "second line with detail" in b2.notes
-
-
 def test_unknown_section_and_key_are_rejected_by_name():
     with pytest.raises(ScenarioError, match=r"\[antenna\]"):
         parse_scenario("[antenna]\ngain = 3\n")
@@ -88,6 +61,10 @@ def test_unknown_section_and_key_are_rejected_by_name():
     for key in ("conv1_v_out_setpoint", "conv2_v_out_setpoint"):
         with pytest.raises(ScenarioError, match=f"storage.{key}"):
             parse_scenario(f"[storage]\n{key} = 3.3\n")
+    # the monitor row of the budget is set by i_active_a and check_duration_s
+    for key in ("profile.monitor_active.i_a", "profile.monitor_active.t_s"):
+        with pytest.raises(ScenarioError, match=f"management.{key}"):
+            parse_scenario(f"[management]\n{key} = 1.0\n")
 
 
 def test_source_type_gates_its_keys():
