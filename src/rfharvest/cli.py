@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except LedgerError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return _EXIT_CONSISTENCY
-    except RfHarvestError as exc:
+    except (RfHarvestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

@@ -26,9 +26,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+from .analog_frontend import RectifierParams, ReflectionModel, ResonantTank
 from .errors import QuantityError, ScenarioError, TransitionError
 from .quantities import finite, fraction, nonnegative, positive
-from .storage import DcDcConverter, Supercap, cap_euler, dcdc_supply_current, dcdc_update_running
+from .rf_environment import ConstantSource
+from .storage import DcDcConverter, Supercap, TransferPolicy, dcdc_update_running
 
 __all__ = [
     "NodeState",
@@ -422,71 +424,61 @@ def run_cycle(
     """Run one supervised cycle to completion or abort, standalone.
 
     Precondition: the machine is in Boot with the enable line raised and
-    conv2 enabled.  Harvest input and the monitor's own draw are outside
-    this op's scope; the engine overlays those during integrated runs.
-    Returns the report plus the post-cycle converter and reservoir cap.
+    conv2 enabled.  The cycle runs on the engine with no RF input, no
+    charge pump and a monitor that draws nothing, so it is integrated,
+    accounted and torn down as in an integrated run: the teardown step
+    takes one dt.  Returns the report plus the post-cycle converter and
+    reservoir cap.
     """
-    positive("dt", dt)
     if sm.state is not NodeState.BOOT:
         raise TransitionError(f"run_cycle requires state Boot, got {sm.state.value}")
     if not (conv2.enabled and sm.enable_line):
         raise TransitionError("run_cycle requires conv2 enabled via the enable line")
-    conv2 = dcdc_update_running(conv2, cap2.v)
-    if not conv2.running:
+    if not dcdc_update_running(conv2, cap2.v).running:
         raise TransitionError(
             f"conv2 cannot start from v_cap2 = {cap2.v!r} (needs {conv2.v_startup!r})"
         )
-    sw_sensor, sw_zigbee = switches
-    plan = build_cycle_plan(profiles, sw_sensor, sw_zigbee)
-    v = v_before = cap2.v
-    c, r_leak = cap2.c, cap2.r_leak
-    e_by_load: dict[str, float] = {}
-    e_from_cap = 0.0
-    e_conv_loss = 0.0
-    t = 0.0
-    success = False
-    aborted_in: NodeState | None = None
-    # Hard cap on runaway loops: the whole cycle is seconds long.
-    cycle_s = plan.handoff_s + plan.measure_s + plan.transmit_s
-    max_steps = 10 * (duration_steps("cycle", cycle_s, dt) + 2)
-    for _ in range(max_steps):
-        state_before = sm.state
-        draws, conv2, sw_sensor, sw_zigbee, event = cycle_substep(
-            sm, plan, conv2, sw_sensor, sw_zigbee, v, dt
+    # Imported here: the engine imports this module at load time.
+    from .engine import (
+        Engine, EngineConfig, FrontendConfig, ManagementConfig, Scenario, StorageConfig,
+    )
+
+    monitor = MonitorConfig(i_sleep=0.0, i_active=0.0, v_min_operate=0.0, go_threshold=0.0)
+    eng = Engine(
+        Scenario(
+            source=ConstantSource(0.0),  # all of it reflected: gamma_sq = 1
+            frontend=FrontendConfig(
+                ReflectionModel(gamma_sq=1.0), ResonantTank(1.0, 1.0), RectifierParams(), 1.0
+            ),
+            storage=StorageConfig(
+                cap1=Supercap(1.0, 0.0, name="cap1"),
+                cap2=cap2,
+                conv1=DcDcConverter(enabled=False),
+                conv2=conv2,
+                transfer=TransferPolicy(),
+            ),
+            management=ManagementConfig(monitor, profiles, *switches),
+            engine=EngineConfig(dt_coarse=dt, dt_fine=dt),
         )
-        if event == "done":
-            success = True
-            break
-        if event == "abort":
-            aborted_in = state_before
-            break
-        t += dt
-        if draws:
-            p_out = sum(p for _, p in draws)
-            i_in = dcdc_supply_current(conv2, v, p_out)
-            v_prev = v
-            v, _leaked = cap_euler(v, c, r_leak, -i_in, dt)
-            v_mid = 0.5 * (v_prev + v)
-            e_step = i_in * v_mid * dt
-            e_from_cap += e_step
-            for name, p in draws:
-                e_by_load[name] = e_by_load.get(name, 0.0) + p * dt
-            e_conv_loss += e_step - p_out * dt
-        else:
-            v, _leaked = cap_euler(v, c, r_leak, 0.0, dt)
-    else:
-        raise TransitionError("cycle failed to terminate; inconsistent plan")
+    )
+    eng.sm = sm
+    state_before = sm.state
+    while sm.state in CYCLE_STATES:
+        state_before = sm.state
+        eng.step(dt)
+    e_by_load = dict(eng.ledger.e_load_by_component)
+    e_conv_loss = eng.ledger.e_converter_loss
     return (
         CycleReport(
-            success=success,
-            aborted_in=aborted_in,
-            duration_s=t,
-            v_before=v_before,
-            v_after=v,
+            success=eng.transmissions == 1,
+            aborted_in=state_before if eng.aborted_cycles else None,
+            duration_s=eng.t,
+            v_before=cap2.v,
+            v_after=eng.v2,
             e_by_load=e_by_load,
-            e_from_cap=e_from_cap,
+            e_from_cap=sum(e_by_load.values()) + e_conv_loss,
             e_converter_loss=e_conv_loss,
         ),
-        conv2,
-        replace(cap2, v=v),
+        eng.conv2,
+        replace(cap2, v=eng.v2),
     )

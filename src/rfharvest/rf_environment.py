@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -91,13 +91,12 @@ class TraceSource:
     """Playback of (time_s, power_dbm) samples with step-hold semantics.
 
     The level at time t is the sample at the greatest timestamp <= t.
-    Sampling past the last timestamp raises unless hold_last is set.
+    The recording ends at the last timestamp; sampling past it raises
+    unless hold_last is set.
     """
 
     samples: tuple[tuple[float, float], ...]
     hold_last: bool = False
-    # end of the recording; defaults to the last timestamp
-    t_end_s: float = field(default=-1.0)
 
     def __post_init__(self):
         if not self.samples:
@@ -116,10 +115,6 @@ class TraceSource:
             raise TraceError(
                 f"trace must start at t=0, got t={self.samples[0][0]!r}"
             )
-        if self.t_end_s < 0.0:
-            object.__setattr__(self, "t_end_s", self.samples[-1][0])
-        elif self.t_end_s < self.samples[-1][0]:
-            raise TraceError("trace t_end precedes the last sample")
 
 
 RfSourceModel = Union[ConstantSource, FluctuatingSource, TraceSource]
@@ -141,10 +136,11 @@ def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
         return level, (k + 1) * model.dwell_s
     if isinstance(model, TraceSource):
         samples = model.samples
-        if t > model.t_end_s and not model.hold_last:
+        t_end = samples[-1][0]
+        if t > t_end and not model.hold_last:
             raise TraceError(
                 f"sample time {t!r} is past the end of the trace "
-                f"({model.t_end_s!r}) and hold_last is off"
+                f"({t_end!r}) and hold_last is off"
             )
         # binary search for greatest timestamp <= t
         lo, hi = 0, len(samples) - 1
@@ -159,7 +155,7 @@ def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
         elif model.hold_last:
             until = math.inf
         else:
-            until = model.t_end_s
+            until = t_end
         return samples[lo][1], until
     raise TypeError(f"unknown source model {model!r}")
 
@@ -183,9 +179,8 @@ def mean_power_watts(model: RfSourceModel) -> float:
         total_t = 0.0
         total_e = 0.0
         samples = model.samples
-        for i, (t, p) in enumerate(samples):
-            t_next = samples[i + 1][0] if i + 1 < len(samples) else model.t_end_s
-            span = max(0.0, t_next - t)
+        for (t, p), (t_next, _) in zip(samples, samples[1:]):
+            span = t_next - t
             total_t += span
             total_e += span * dbm_to_watts(p)
         if total_t == 0.0:
@@ -197,27 +192,29 @@ def mean_power_watts(model: RfSourceModel) -> float:
 def load_trace_csv(path: str | Path, hold_last: bool = False) -> TraceSource:
     """Load a trace from CSV with the exact header ``time_s,power_dbm``."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise TraceError(f"{path}: cannot read trace file: {exc}") from None
+    if not rows:
+        raise TraceError(f"{path}: empty trace file")
+    header = rows[0]
+    if [h.strip() for h in header] != ["time_s", "power_dbm"]:
+        raise TraceError(
+            f"{path}: expected header 'time_s,power_dbm', got {','.join(header)!r}"
+        )
+    samples: list[tuple[float, float]] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise TraceError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty trace file") from None
-        if [h.strip() for h in header] != ["time_s", "power_dbm"]:
-            raise TraceError(
-                f"{path}: expected header 'time_s,power_dbm', got {','.join(header)!r}"
-            )
-        samples: list[tuple[float, float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise TraceError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t, p = float(row[0]), float(row[1])
-            except ValueError:
-                raise TraceError(f"{path}:{lineno}: non-numeric value") from None
-            samples.append((t, p))
+            t, p = float(row[0]), float(row[1])
+        except ValueError:
+            raise TraceError(f"{path}:{lineno}: non-numeric value") from None
+        samples.append((t, p))
     try:
         return TraceSource(tuple(samples), hold_last=hold_last)
     except TraceError as exc:

@@ -428,7 +428,7 @@ def load_scenario(path: str) -> ScenarioBundle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}") from None
     return parse_scenario(text, path=path)
 

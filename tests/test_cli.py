@@ -169,6 +169,39 @@ def test_run_rejects_out_of_range_values(tmp_path, capsys, text, message):
     assert message in err
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _trace_scenario(tmp_path, trace_csv):
+    text = f"[source]\ntype = trace\ntrace_csv = {trace_csv}\n"
+    return _write(tmp_path, "trace.scenario", text)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["budget", _trace_scenario(d, d / "missing.csv")],
+    lambda d: ["budget", _trace_scenario(d, d)],
+    lambda d: ["budget", _write_bytes(d, "s.scenario", b"[engine]\nt_end_s = 10\xff\n")],
+    lambda d: ["budget", _trace_scenario(
+        d, _write_bytes(d, "t.csv", b"time_s,power_dbm\n0,-30\xff\n"))],
+    lambda d: ["budget", _trace_scenario(
+        d, _write_bytes(d, "t.csv", b"time_s,power_dbm\n0," + b"1" * 200000 + b"\n"))],
+    lambda d: ["budget", "--out", str(d / "missing" / "x.txt")],
+    lambda d: ["run", "paper_ideal", "--until", "10", "--trace", str(d / "missing" / "x.csv")],
+    lambda d: ["calibrate", "--preset", "paper", "--out", str(d / "missing" / "x.ini")],
+], ids=[
+    "trace_missing", "trace_is_directory", "scenario_not_utf8", "trace_not_utf8",
+    "trace_field_too_large", "budget_out_unwritable", "run_trace_unwritable",
+    "calibrate_out_unwritable",
+])
+def test_unreadable_or_unwritable_files_exit_with_usage_error(tmp_path, capsys, argv):
+    code, _, err = _run(capsys, argv(tmp_path))
+    assert code == 2
+    assert re.search(r"^error: ", err, re.MULTILINE)
+
+
 def test_run_maps_ledger_error_to_consistency_exit(capsys, monkeypatch):
     def boom(scenario, trace_path=None):
         raise LedgerError("energy balance off by 1 J")

@@ -133,8 +133,9 @@ def test_mean_power_watts_fluctuating_matches_closed_form():
 
 
 def test_mean_power_watts_trace_is_time_weighted():
-    # step-hold: -30 dBm for 10 s, then -40 dBm for 30 s up to t_end
-    src = TraceSource(samples=((0.0, -30.0), (10.0, -40.0)), t_end_s=40.0)
+    # step-hold: -30 dBm for 10 s, then -40 dBm for 30 s; the recording
+    # ends at its last timestamp, so the last sample has zero weight
+    src = TraceSource(samples=((0.0, -30.0), (10.0, -40.0), (40.0, -50.0)))
     assert mean_power_watts(src) == pytest.approx((10 * 1e-6 + 30 * 1e-7) / 40, rel=1e-12)
     single = TraceSource(samples=((0.0, -30.0),))
     assert mean_power_watts(single) == pytest.approx(1e-6, rel=1e-12)
