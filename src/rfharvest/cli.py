@@ -16,10 +16,12 @@ a printed number silently.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
+from typing import TextIO
 
 from .analog_frontend import (
     CALIBRATION_TOL_DB,
@@ -193,32 +195,39 @@ def format_run_report(bundle: ScenarioBundle, result: SimResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _open_out(path: str | None):
+    """The --out file, opened before any work so that an unwritable path
+    fails at once; a null context when there is none."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _emit(text: str, out: TextIO | None) -> None:
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    bundle = _load_bundle(args.scenario)
-    if args.seed is not None:
-        bundle = apply_override(bundle, "engine.seed", str(args.seed))
-    if args.until is not None:
-        bundle = apply_override(bundle, "engine.t_end_s", repr(args.until))
-    if args.until_joules is not None:
-        bundle = apply_override(bundle, "engine.stop_stored_j", repr(args.until_joules))
-    if args.until_tx is not None:
-        bundle = apply_override(bundle, "engine.max_transmissions", str(args.until_tx))
-    result = run_scenario(bundle.scenario, trace_path=args.trace)
-    _emit(format_run_report(bundle, result), args.out)
+    with _open_out(args.out) as out:
+        bundle = _load_bundle(args.scenario)
+        if args.seed is not None:
+            bundle = apply_override(bundle, "engine.seed", str(args.seed))
+        if args.until is not None:
+            bundle = apply_override(bundle, "engine.t_end_s", repr(args.until))
+        if args.until_joules is not None:
+            bundle = apply_override(bundle, "engine.stop_stored_j", repr(args.until_joules))
+        if args.until_tx is not None:
+            bundle = apply_override(bundle, "engine.max_transmissions", str(args.until_tx))
+        result = run_scenario(bundle.scenario, trace_path=args.trace)
+        _emit(format_run_report(bundle, result), out)
     return _EXIT_OK
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    bundle = _load_bundle(args.scenario)
-    out = [format_budget(bundle.scenario.management.profiles)] + _format_assumptions(bundle)
-    _emit("\n".join(out) + "\n", args.out)
+    with _open_out(args.out) as out:
+        bundle = _load_bundle(args.scenario)
+        lines = [format_budget(bundle.scenario.management.profiles)]
+        _emit("\n".join(lines + _format_assumptions(bundle)) + "\n", out)
     return _EXIT_OK
 
 
@@ -319,24 +328,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--sweep wants KEY=V1,V2,..., got {args.sweep!r}"
         )
     values = [v for v in raw_values.split(",") if v.strip() != ""]
-    base = _load_bundle(args.scenario)
-    if args.seed is not None:
-        base = apply_override(base, "engine.seed", str(args.seed))
+    with _open_out(args.out) as out:
+        base = _load_bundle(args.scenario)
+        if args.seed is not None:
+            base = apply_override(base, "engine.seed", str(args.seed))
 
-    rows = [SWEEP_CSV_HEADER]
-    for value in values:
-        bundle = apply_override(base, key, value)
-        result = run_scenario(bundle.scenario)
-        ttft = result.time_to_first_transmission
-        rows.append(",".join([
-            value,
-            "" if ttft is None else f"{ttft:.10g}",
-            str(result.transmissions),
-            f"{result.v_cap2:.6g}",
-            _sig(result.ledger.e_harvested),
-            f"{_mean_open_circuit_v(bundle.scenario):.6g}",
-        ]))
-    _emit("\n".join(rows) + "\n", args.out)
+        rows = [SWEEP_CSV_HEADER]
+        for value in values:
+            bundle = apply_override(base, key, value)
+            result = run_scenario(bundle.scenario)
+            ttft = result.time_to_first_transmission
+            rows.append(",".join([
+                value,
+                "" if ttft is None else f"{ttft:.10g}",
+                str(result.transmissions),
+                f"{result.v_cap2:.6g}",
+                _sig(result.ledger.e_harvested),
+                f"{_mean_open_circuit_v(bundle.scenario):.6g}",
+            ]))
+        _emit("\n".join(rows) + "\n", out)
     return _EXIT_OK
 
 

@@ -31,10 +31,8 @@ from .analog_frontend import (
     chain_open_circuit,
     delivered_power,
 )
-from .errors import LedgerError, QuantityError, ScenarioError
+from .errors import LedgerError, QuantityError, ScenarioError, TraceError
 from .power_mgmt import (
-    ACTIVE_STATES,
-    CYCLE_STATES,
     LoadProfile,
     LoadSwitch,
     MonitorConfig,
@@ -48,7 +46,7 @@ from .power_mgmt import (
     table1_profiles,
 )
 from .quantities import dbm_to_watts, fraction, positive
-from .rf_environment import FluctuatingSource, RfSourceModel, sample_window
+from .rf_environment import FluctuatingSource, RfSourceModel, TraceSource, sample_window
 from .storage import (
     CAP2_V_MAX_DEFAULT,
     DcDcConverter,
@@ -228,6 +226,13 @@ class Engine:
         src = scenario.source
         if scenario.engine.seed is not None and isinstance(src, FluctuatingSource):
             src = replace(src, seed=scenario.engine.seed)
+        if isinstance(src, TraceSource) and not src.hold_last:
+            t_last, t_end = src.samples[-1][0], scenario.engine.t_end
+            if t_last < t_end:
+                raise TraceError(
+                    f"trace ends at {t_last!r} s, before engine.t_end_s = {t_end!r} s; "
+                    "set source.hold_last = true or a shorter engine.t_end_s"
+                )
         self.source = src
         st = scenario.storage
         mg = scenario.management
@@ -291,7 +296,7 @@ class Engine:
 
     def _pick_dt(self) -> float:
         eng = self.scenario.engine
-        if self.sm.state in ACTIVE_STATES:
+        if self.sm.state.fine:
             dt = eng.dt_fine
         else:
             dt = eng.dt_coarse
@@ -370,8 +375,8 @@ class Engine:
             i_mon, mon_kind = monitor_step(
                 mon, sm, v2, t, dt, self.go_threshold, self.check_steps
             )
-            draws: list[tuple[str, float]] = []
-            if sm.state in CYCLE_STATES:
+            draws: tuple[tuple[str, float], ...] = ()
+            if sm.state.cycle:
                 draws, self.conv2, self.sw_sensor, self.sw_zigbee, event = cycle_substep(
                     sm, self.plan, self.conv2, self.sw_sensor, self.sw_zigbee, v2, dt
                 )

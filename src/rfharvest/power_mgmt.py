@@ -45,44 +45,37 @@ __all__ = [
     "resolve_go_threshold",
     "monitor_step",
     "run_cycle",
+    "Phase",
     "CyclePlan",
     "build_cycle_plan",
 ]
 
 
 class NodeState(enum.Enum):
-    COLD = "Cold"
-    SLEEP = "Sleep"
-    CHECK = "Check"
-    BOOT = "Boot"
-    HANDOFF = "Handoff"
-    MEASURE = "Measure"
-    TRANSMIT = "Transmit"
-    SHUTDOWN = "Shutdown"
+    """A supervisor state; the value is the name traces and reports print.
+
+    fine: stepped at dt_fine.  cycle: owned by the controller, from Boot
+    to Shutdown; the monitor only sleeps alongside it.
+    """
+
+    COLD = ("Cold", False, False)
+    SLEEP = ("Sleep", False, False)
+    CHECK = ("Check", True, False)
+    BOOT = ("Boot", True, True)
+    HANDOFF = ("Handoff", True, True)
+    MEASURE = ("Measure", True, True)
+    TRANSMIT = ("Transmit", True, True)
+    SHUTDOWN = ("Shutdown", True, True)
+
+    def __new__(cls, label: str, fine: bool, cycle: bool):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.fine = fine
+        member.cycle = cycle
+        return member
 
 
-#: States in which the node is doing something on the fine timescale.
-ACTIVE_STATES = frozenset(
-    {
-        NodeState.CHECK,
-        NodeState.BOOT,
-        NodeState.HANDOFF,
-        NodeState.MEASURE,
-        NodeState.TRANSMIT,
-        NodeState.SHUTDOWN,
-    }
-)
-
-#: States belonging to a controller-owned cycle.
-CYCLE_STATES = frozenset(
-    {
-        NodeState.BOOT,
-        NodeState.HANDOFF,
-        NodeState.MEASURE,
-        NodeState.TRANSMIT,
-        NodeState.SHUTDOWN,
-    }
-)
+CYCLE_STATES = frozenset(s for s in NodeState if s.cycle)
 
 
 @dataclass(frozen=True)
@@ -227,17 +220,23 @@ class CycleReport:
 
 
 @dataclass(frozen=True)
-class CyclePlan:
-    """Phase durations and rail-side draws derived from the load budget."""
+class Phase:
+    """One row of the cycle table: a timed controller phase."""
 
-    handoff_s: float
-    measure_s: float
-    transmit_s: float
-    p_controller: float
-    p_sensor: float
-    p_zigbee: float
-    p_switch_sensor: float
-    p_switch_zigbee: float
+    label: str  # names the on-time in error messages
+    on_s: float
+    draws: tuple[tuple[str, float], ...]  # (component, rail power in W)
+    switches: tuple[LoadSwitch, LoadSwitch]  # sensor and zigbee during the phase
+    next: NodeState
+
+
+@dataclass(frozen=True)
+class CyclePlan:
+    """The phase table (Handoff, Measure, Transmit) and both switches
+    open, as in Shutdown and after teardown."""
+
+    phases: dict[NodeState, Phase]
+    idle: tuple[LoadSwitch, LoadSwitch]
 
 
 def build_cycle_plan(
@@ -245,7 +244,7 @@ def build_cycle_plan(
     sw_sensor: LoadSwitch,
     sw_zigbee: LoadSwitch,
 ) -> CyclePlan:
-    """Derive the cycle timing from the budget rows.
+    """Derive the cycle's phase table from the budget rows.
 
     The controller row spans the whole cycle, so the handoff phase is what
     remains of its on-time after the measure and transmit phases.  Switch
@@ -259,16 +258,23 @@ def build_cycle_plan(
         zigbee = rows["zigbee"]
     except KeyError as exc:
         raise ScenarioError(f"load budget is missing the {exc.args[0]!r} row") from None
+    controller = ("controller", ctrl.v * ctrl.i)
+    idle = (replace(sw_sensor, closed=False), replace(sw_zigbee, closed=False))
+    sensor_on = (replace(sw_sensor, closed=True), idle[1])
+    zigbee_on = (idle[0], replace(sw_zigbee, closed=True))
+
+    def load_phase(p: LoadProfile, sw: LoadSwitch, switches, next_state: NodeState) -> Phase:
+        draws = (controller, (p.name, p.v * p.i), (f"switch_{p.name}", p.i * p.i * sw.r_on))
+        return Phase(f"{p.name} on-time", p.t, draws, switches, next_state)
+
     handoff = max(0.0, ctrl.t - sensor.t - zigbee.t)
     return CyclePlan(
-        handoff_s=handoff,
-        measure_s=sensor.t,
-        transmit_s=zigbee.t,
-        p_controller=ctrl.v * ctrl.i,
-        p_sensor=sensor.v * sensor.i,
-        p_zigbee=zigbee.v * zigbee.i,
-        p_switch_sensor=sensor.i * sensor.i * sw_sensor.r_on,
-        p_switch_zigbee=zigbee.i * zigbee.i * sw_zigbee.r_on,
+        phases={
+            NodeState.HANDOFF: Phase("handoff", handoff, (controller,), idle, NodeState.MEASURE),
+            NodeState.MEASURE: load_phase(sensor, sw_sensor, sensor_on, NodeState.TRANSMIT),
+            NodeState.TRANSMIT: load_phase(zigbee, sw_zigbee, zigbee_on, NodeState.SHUTDOWN),
+        },
+        idle=idle,
     )
 
 
@@ -293,7 +299,7 @@ def monitor_step(
     the cycle stepper, not here.
     """
     alive = v_cap2 >= cfg.v_min_operate
-    if sm.state in CYCLE_STATES:
+    if sm.state.cycle:
         if not alive:
             sm.enable_monitor = False
             return 0.0, ""
@@ -347,70 +353,52 @@ def cycle_substep(
     sw_zigbee: LoadSwitch,
     v_cap2: float,
     dt: float,
-) -> tuple[list[tuple[str, float]], DcDcConverter, LoadSwitch, LoadSwitch, str]:
+) -> tuple[tuple[tuple[str, float], ...], DcDcConverter, LoadSwitch, LoadSwitch, str]:
     """One fine step of a controller cycle.
 
-    Returns (draws, conv2, sw_sensor, sw_zigbee, event) where draws is a
-    list of (component, rail_power_w) supplied through conv2 this step and
-    event is "" while the cycle runs, "done" after a clean shutdown, or
-    "abort" when the converter dropped out mid-cycle.
+    Returns (draws, conv2, sw_sensor, sw_zigbee, event) where draws are
+    the (component, rail_power_w) pairs supplied through conv2 this step,
+    the switches are as they stand after the step, and event is "" while
+    the cycle runs, "done" after a clean shutdown, or "abort" when the
+    converter dropped out mid-cycle.
     """
-    if sm.state not in CYCLE_STATES:
-        raise TransitionError(f"cycle_substep called in state {sm.state!r}")
+    state = sm.state
+    if not state.cycle:
+        raise TransitionError(f"cycle_substep called in state {state!r}")
 
     conv2 = replace(conv2, enabled=sm.enable_line) if conv2.enabled != sm.enable_line else conv2
     conv2 = dcdc_update_running(conv2, v_cap2)
 
-    if sm.state is NodeState.SHUTDOWN:
-        # Teardown instant: drop the enables, kill the converter.  The
-        # monitor resumes its own schedule (or browns out) from Sleep.
+    if state is NodeState.SHUTDOWN or not conv2.running:
+        # Teardown, clean after Shutdown or on a mid-cycle brown-out (or an
+        # enable lost before boot finished): drop the enables, kill the
+        # converter.  The monitor resumes its schedule (or browns out) from Sleep.
         sm.enable_controller = False
         sm.enable_monitor = False
         sm.state = NodeState.SLEEP
-        conv2 = replace(conv2, enabled=False, running=False)
-        return [], conv2, replace(sw_sensor, closed=False), replace(sw_zigbee, closed=False), "done"
+        event = "done" if state is NodeState.SHUTDOWN else "abort"
+        return (), replace(conv2, enabled=False, running=False), *plan.idle, event
 
-    if not conv2.running:
-        # Mid-cycle brown-out (or enable lost before boot finished).
-        sm.enable_controller = False
-        sm.enable_monitor = False
-        sm.state = NodeState.SLEEP
-        conv2 = replace(conv2, enabled=False, running=False)
-        return [], conv2, replace(sw_sensor, closed=False), replace(sw_zigbee, closed=False), "abort"
-
-    if sm.state is NodeState.BOOT:
-        # Converter is up; hand the controller its first phase.
-        sm.state = NodeState.HANDOFF
+    if state is NodeState.BOOT:
+        # Converter is up; the controller raises its hold for the first phase.
         sm.enable_controller = True
-        sm.phase_steps_left = duration_steps("handoff", plan.handoff_s, dt)
-        return [], conv2, sw_sensor, sw_zigbee, ""
+        draws, state = (), NodeState.HANDOFF
+    else:
+        row = plan.phases[state]
+        sm.phase_steps_left -= 1
+        if sm.phase_steps_left > 0:
+            return row.draws, conv2, sw_sensor, sw_zigbee, ""
+        # The monitor's hold ends with the handoff: the controller owns the line.
+        sm.enable_monitor = False
+        draws, state = row.draws, row.next
 
-    draws: list[tuple[str, float]] = [("controller", plan.p_controller)]
-    if sm.state is NodeState.MEASURE:
-        draws.append(("sensor", plan.p_sensor))
-        draws.append(("switch_sensor", plan.p_switch_sensor))
-    elif sm.state is NodeState.TRANSMIT:
-        draws.append(("zigbee", plan.p_zigbee))
-        draws.append(("switch_zigbee", plan.p_switch_zigbee))
-
-    sm.phase_steps_left -= 1
-    if sm.phase_steps_left <= 0:
-        if sm.state is NodeState.HANDOFF:
-            # Controller owns the enable line now; the monitor lets go.
-            sm.enable_monitor = False
-            sm.state = NodeState.MEASURE
-            sm.phase_steps_left = duration_steps("sensor on-time", plan.measure_s, dt)
-            sw_sensor = replace(sw_sensor, closed=True)
-        elif sm.state is NodeState.MEASURE:
-            sw_sensor = replace(sw_sensor, closed=False)
-            sm.state = NodeState.TRANSMIT
-            sm.phase_steps_left = duration_steps("zigbee on-time", plan.transmit_s, dt)
-            sw_zigbee = replace(sw_zigbee, closed=True)
-        elif sm.state is NodeState.TRANSMIT:
-            sw_zigbee = replace(sw_zigbee, closed=False)
-            sm.state = NodeState.SHUTDOWN
-            sm.phase_steps_left = 0
-    return draws, conv2, sw_sensor, sw_zigbee, ""
+    sm.state = state
+    row = plan.phases.get(state)
+    if row is None:  # Shutdown: the next step tears down
+        sm.phase_steps_left = 0
+        return draws, conv2, *plan.idle, ""
+    sm.phase_steps_left = duration_steps(row.label, row.on_s, dt)
+    return draws, conv2, *row.switches, ""
 
 
 def run_cycle(
@@ -463,7 +451,7 @@ def run_cycle(
     )
     eng.sm = sm
     state_before = sm.state
-    while sm.state in CYCLE_STATES:
+    while sm.state.cycle:
         state_before = sm.state
         eng.step(dt)
     e_by_load = dict(eng.ledger.e_load_by_component)

@@ -191,14 +191,19 @@ def _trace_scenario(tmp_path, trace_csv):
     lambda d: ["budget", "--out", str(d / "missing" / "x.txt")],
     lambda d: ["run", "paper_ideal", "--until", "10", "--trace", str(d / "missing" / "x.csv")],
     lambda d: ["calibrate", "--preset", "paper", "--out", str(d / "missing" / "x.ini")],
+    lambda d: ["run", "paper_ideal", "--until", "86400", "--out", str(d / "missing" / "x.txt")],
+    lambda d: ["sweep", "paper_ideal", "--sweep", "engine.t_end_s=3600,7200",
+               "--out", str(d / "missing" / "x.csv")],
 ], ids=[
     "trace_missing", "trace_is_directory", "scenario_not_utf8", "trace_not_utf8",
     "trace_field_too_large", "budget_out_unwritable", "run_trace_unwritable",
-    "calibrate_out_unwritable",
+    "calibrate_out_unwritable", "run_out_unwritable", "sweep_out_unwritable",
 ])
 def test_unreadable_or_unwritable_files_exit_with_usage_error(tmp_path, capsys, argv):
-    code, _, err = _run(capsys, argv(tmp_path))
+    """Bad paths fail before any work: no report reaches stdout."""
+    code, out, err = _run(capsys, argv(tmp_path))
     assert code == 2
+    assert out == ""
     assert re.search(r"^error: ", err, re.MULTILINE)
 
 

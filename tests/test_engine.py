@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,10 +21,10 @@ from rfharvest.engine import (
     StorageConfig,
     run_scenario,
 )
-from rfharvest.errors import QuantityError, ScenarioError
+from rfharvest.errors import QuantityError, ScenarioError, TraceError
 from rfharvest.power_mgmt import MonitorConfig, NodeState
 from rfharvest.quantities import dbm_to_watts
-from rfharvest.rf_environment import ConstantSource, FluctuatingSource
+from rfharvest.rf_environment import ConstantSource, FluctuatingSource, TraceSource
 from rfharvest.scenario import parse_scenario
 from rfharvest.storage import DcDcConverter, Supercap, TransferPolicy
 
@@ -235,6 +236,20 @@ def test_cycle_invariants_stepwise():
     assert was_in_cycle and eng.transmissions == 1
     assert not eng.sm.enable_line
     assert abs(eng.ledger.residual()) <= eng.ledger.tolerance()
+
+
+def test_trace_must_cover_the_horizon_unless_held():
+    """A recording that ends before t_end fails at construction, not at
+    its last sample in mid-run, and the message names both fixes."""
+    samples = tuple((600.0 * k, -30.0) for k in range(200))  # ends at 119,400 s
+    base = _ideal_scenario(None, t_end=200000.0)
+    with pytest.raises(TraceError) as err:
+        Engine(replace(base, source=TraceSource(samples)))
+    assert "119400.0 s, before engine.t_end_s = 200000.0 s" in str(err.value)
+    assert "hold_last = true" in str(err.value)
+    assert "shorter engine.t_end_s" in str(err.value)
+    Engine(replace(base, source=TraceSource(samples, hold_last=True)))
+    Engine(replace(base, source=TraceSource(samples), engine=EngineConfig(t_end=119400.0)))
 
 
 def test_stop_reason_t_end():

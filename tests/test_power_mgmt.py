@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from rfharvest.errors import QuantityError, ScenarioError, TransitionError
 from rfharvest.power_mgmt import (
-    ACTIVE_STATES,
     CYCLE_STATES,
-    CyclePlan,
     CycleReport,
     LoadProfile,
     LoadSwitch,
@@ -175,12 +173,27 @@ def test_monitor_sleep_draw_during_cycle_states():
 def test_build_cycle_plan_timing_and_switch_losses():
     profiles = table1_profiles()
     plan = build_cycle_plan(profiles, LoadSwitch("sensor"), LoadSwitch("zigbee"))
-    assert plan.handoff_s == pytest.approx(0.3, rel=1e-12)  # 8 - 5 - 2.7
-    assert plan.measure_s == 5.0
-    assert plan.transmit_s == 2.7
-    assert plan.p_controller == pytest.approx(1.8e-5, rel=1e-12)
-    assert plan.p_zigbee == pytest.approx(0.1155, rel=1e-12)
-    assert plan.p_switch_zigbee == pytest.approx(0.035**2 * 0.045, rel=1e-12)
+    assert list(plan.phases) == [NodeState.HANDOFF, NodeState.MEASURE, NodeState.TRANSMIT]
+    handoff, measure, transmit = plan.phases.values()
+    assert handoff.on_s == pytest.approx(0.3, rel=1e-12)  # 8 - 5 - 2.7
+    assert measure.on_s == 5.0
+    assert transmit.on_s == 2.7
+    assert [n for n, _ in handoff.draws] == ["controller"]
+    assert [n for n, _ in measure.draws] == ["controller", "sensor", "switch_sensor"]
+    assert [n for n, _ in transmit.draws] == ["controller", "zigbee", "switch_zigbee"]
+    for row in (handoff, measure, transmit):
+        assert row.draws[0][1] == pytest.approx(1.8e-5, rel=1e-12)
+    assert measure.draws[1][1] == pytest.approx(0.001815, rel=1e-12)
+    assert measure.draws[2][1] == pytest.approx(0.00055**2 * 0.045, rel=1e-12)
+    assert transmit.draws[1][1] == pytest.approx(0.1155, rel=1e-12)
+    assert transmit.draws[2][1] == pytest.approx(0.035**2 * 0.045, rel=1e-12)
+    assert (handoff.next, measure.next, transmit.next) == (
+        NodeState.MEASURE, NodeState.TRANSMIT, NodeState.SHUTDOWN
+    )
+    closed = lambda switches: [sw.name for sw in switches if sw.closed]
+    assert closed(handoff.switches) == [] and closed(plan.idle) == []
+    assert closed(measure.switches) == ["sensor"]
+    assert closed(transmit.switches) == ["zigbee"]
     with pytest.raises(ScenarioError):
         build_cycle_plan(
             (LoadProfile("sensor", 3.3, 1e-3, 5.0),),
@@ -387,9 +400,17 @@ def test_run_cycle_energy_balance_any_preload(v0, r_leak):
 
 
 def test_state_enums_cover_the_duty_cycle():
-    assert {s.value for s in NodeState} == {
+    assert [s.value for s in NodeState] == [
         "Cold", "Sleep", "Check", "Boot", "Handoff",
         "Measure", "Transmit", "Shutdown",
+    ]
+    assert NodeState("Measure") is NodeState.MEASURE
+    assert {s for s in NodeState if s.fine} == {
+        NodeState.CHECK, NodeState.BOOT, NodeState.HANDOFF,
+        NodeState.MEASURE, NodeState.TRANSMIT, NodeState.SHUTDOWN,
     }
-    assert CYCLE_STATES < ACTIVE_STATES | CYCLE_STATES
-    assert NodeState.CHECK in ACTIVE_STATES and NodeState.CHECK not in CYCLE_STATES
+    cycle = {s for s in NodeState if s.cycle}
+    assert cycle == CYCLE_STATES == {
+        NodeState.BOOT, NodeState.HANDOFF, NodeState.MEASURE,
+        NodeState.TRANSMIT, NodeState.SHUTDOWN,
+    }
