@@ -187,20 +187,15 @@ def chain_open_circuit(
 
 
 def sensitivity_threshold_dbm(
-    params: RectifierParams,
-    tank: ResonantTank,
-    carrier_hz: float,
-    target_v: float = SENSITIVITY_TARGET_V,
+    params: RectifierParams, tank: ResonantTank, carrier_hz: float
 ) -> float:
-    """Delivered power at which the open-circuit output reaches target_v.
+    """Delivered power whose open-circuit output is SENSITIVITY_TARGET_V.
 
     Closed-form inverse of the chain: the required first-stage contribution
     is target / stage_sum, the required drive is half that plus the device
     drop, and the power follows from the input amplitude relation.
     """
-    if not target_v > 0:
-        raise QuantityError(f"target voltage must be positive, got {target_v!r}")
-    s_needed = target_v / _stage_sum(params.alpha, params.stages)
+    s_needed = SENSITIVITY_TARGET_V / _stage_sum(params.alpha, params.stages)
     v_peak_needed = 0.5 * s_needed + params.v_drop
     gain = tank_gain(tank, carrier_hz)
     p = (v_peak_needed / gain) ** 2 / (2.0 * params.r_in)
@@ -217,11 +212,6 @@ class CalibrationTarget:
     carrier_hz: float
     tank: ResonantTank
     threshold_dbm: float
-    target_v: float = SENSITIVITY_TARGET_V
-
-
-def _threshold_for(params: RectifierParams, target: CalibrationTarget) -> float:
-    return sensitivity_threshold_dbm(params, target.tank, target.carrier_hz, target.target_v)
 
 
 def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierParams:
@@ -245,7 +235,8 @@ def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierPara
     base = RectifierParams(stages=first.stages, device=first.device)
 
     def residual(v_drop: float) -> float:
-        return _threshold_for(replace(base, v_drop=v_drop), first) - first.threshold_dbm
+        params = replace(base, v_drop=v_drop)
+        return sensitivity_threshold_dbm(params, first.tank, first.carrier_hz) - first.threshold_dbm
 
     # The threshold rises with v_drop: the residual is negative at lo and
     # positive at hi.
@@ -267,7 +258,7 @@ def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierPara
     fitted = replace(base, v_drop=lo)
 
     for t in targets:
-        err = _threshold_for(fitted, t) - t.threshold_dbm
+        err = sensitivity_threshold_dbm(fitted, t.tank, t.carrier_hz) - t.threshold_dbm
         if abs(err) > CALIBRATION_TOL_DB:
             raise CalibrationError(
                 f"target {t.name!r} missed by {err:+.3f} dB with the fitted "

@@ -35,7 +35,7 @@ from .analog_frontend import (
     preset_targets,
     sensitivity_threshold_dbm,
 )
-from .engine import Scenario, SimResult, run_scenario
+from .engine import Engine, Scenario, SimResult, run_scenario
 from .errors import LedgerError, RfHarvestError, ScenarioError
 from .power_mgmt import LoadProfile, cycle_energy
 from .rf_environment import mean_power_watts
@@ -299,9 +299,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         params = calibrate_sensitivity(group)
         achieved_by_name: dict[str, float] = {}
         for t in group:
-            achieved = sensitivity_threshold_dbm(
-                params, t.tank, t.carrier_hz, t.target_v
-            )
+            achieved = sensitivity_threshold_dbm(params, t.tank, t.carrier_hz)
             achieved_by_name[t.name] = achieved
             residual = achieved - t.threshold_dbm
             lines.append(
@@ -333,10 +331,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.seed is not None:
             base = apply_override(base, "engine.seed", str(args.seed))
 
-        rows = [SWEEP_CSV_HEADER]
+        # Build every run before the first one starts, so that a bad value
+        # fails at once instead of after the runs before it.
+        runs = []
         for value in values:
-            bundle = apply_override(base, key, value)
-            result = run_scenario(bundle.scenario)
+            scenario = apply_override(base, key, value).scenario
+            runs.append((value, Engine(scenario), _mean_open_circuit_v(scenario)))
+        rows = [SWEEP_CSV_HEADER]
+        for value, engine, v_oc in runs:
+            result = engine.run()
             ttft = result.time_to_first_transmission
             rows.append(",".join([
                 value,
@@ -344,7 +347,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 str(result.transmissions),
                 f"{result.v_cap2:.6g}",
                 _sig(result.ledger.e_harvested),
-                f"{_mean_open_circuit_v(bundle.scenario):.6g}",
+                f"{v_oc:.6g}",
             ]))
         _emit("\n".join(rows) + "\n", out)
     return _EXIT_OK

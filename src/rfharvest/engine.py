@@ -22,7 +22,7 @@ power itself and any coupling inefficiency shows up as converter loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .analog_frontend import (
     RectifierParams,
@@ -46,7 +46,7 @@ from .power_mgmt import (
     table1_profiles,
 )
 from .quantities import dbm_to_watts, fraction, positive
-from .rf_environment import FluctuatingSource, RfSourceModel, TraceSource, sample_window
+from .rf_environment import RfSourceModel, TraceSource, sample_window
 from .storage import (
     CAP2_V_MAX_DEFAULT,
     DcDcConverter,
@@ -134,7 +134,6 @@ class EngineConfig:
     t_end: float = 45 * 86400.0
     max_transmissions: int | None = None
     stop_stored_j: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         positive("dt_coarse", self.dt_coarse)
@@ -170,11 +169,8 @@ class EnergyLedger:
     e_leaked: float = 0.0
     e_converter_loss: float = 0.0
     e_load_by_component: dict[str, float] = field(default_factory=dict)
+    e_load_total: float = 0.0  # running sum of the per-component rows
     e_stored_delta: float = 0.0
-
-    @property
-    def e_load_total(self) -> float:
-        return sum(self.e_load_by_component.values())
 
     def residual(self) -> float:
         return (
@@ -224,8 +220,6 @@ class Engine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         src = scenario.source
-        if scenario.engine.seed is not None and isinstance(src, FluctuatingSource):
-            src = replace(src, seed=scenario.engine.seed)
         if isinstance(src, TraceSource) and not src.hold_last:
             t_last, t_end = src.samples[-1][0], scenario.engine.t_end
             if t_last < t_end:
@@ -233,7 +227,6 @@ class Engine:
                     f"trace ends at {t_last!r} s, before engine.t_end_s = {t_end!r} s; "
                     "set source.hold_last = true or a shorter engine.t_end_s"
                 )
-        self.source = src
         st = scenario.storage
         mg = scenario.management
 
@@ -261,7 +254,6 @@ class Engine:
         )
 
         self.ledger = EnergyLedger()
-        self._e_load_total = 0.0
         self._e0 = 0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * self.v2 * self.v2)
 
         # Source window cache: frontend output is constant within a window.
@@ -276,10 +268,9 @@ class Engine:
         self.transmissions = 0
         self.aborted_cycles = 0
         self.time_to_first_tx: float | None = None
-        self._steps = 0
 
     def _refresh_window(self) -> None:
-        dbm, until = sample_window(self.source, self.t)
+        dbm, until = sample_window(self.scenario.source, self.t)
         self._window_dbm = float(dbm)
         self._window_until = float(until)
         fe = self.scenario.frontend
@@ -397,14 +388,14 @@ class Engine:
             mon_share = i_mon * 0.5 * (self.v2 + v2) * dt
             if mon_share > 0.0:
                 by[mon_kind] = by.get(mon_kind, 0.0) + mon_share
-                self._e_load_total += mon_share
+                led.e_load_total += mon_share
             if draws:
                 e_loads = 0.0
                 for name, p in draws:
                     e = p * dt
                     by[name] = by.get(name, 0.0) + e
                     e_loads += e
-                self._e_load_total += e_loads
+                led.e_load_total += e_loads
                 led.e_converter_loss += (e_drawn - mon_share) - e_loads
             else:
                 # No converter path active: the whole non-monitor part
@@ -412,21 +403,20 @@ class Engine:
                 extra = e_drawn - mon_share
                 if extra != 0.0 and mon_share > 0.0:
                     by[mon_kind] += extra
-                    self._e_load_total += extra
+                    led.e_load_total += extra
         self.v2 = v2
 
         self.t = t + dt
-        self._steps += 1
         led.e_stored_delta = (
             0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - self._e0
         )
-        # Fast conservation guard with a running load total; check() is the
-        # authoritative (dict-summed) verdict when the guard trips.
+        # Conservation guard, residual() inlined for speed; check() raises
+        # with the message when it trips.
         res = (
             led.e_harvested
             - led.e_leaked
             - led.e_converter_loss
-            - self._e_load_total
+            - led.e_load_total
             - led.e_stored_delta
         )
         if res < 0.0:
@@ -453,7 +443,7 @@ class Engine:
                         f"{self.t:.6f},{self._window_dbm:.6g},{self.v1:.10g},"
                         f"{self.v2:.10g},{self.sm.state.value},"
                         f"{led.e_harvested:.10g},"
-                        f"{led.e_converter_loss + self._e_load_total:.10g},"
+                        f"{led.e_converter_loss + led.e_load_total:.10g},"
                         f"{led.e_leaked:.10g}\n"
                     )
                 if (

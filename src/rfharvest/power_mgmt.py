@@ -214,10 +214,6 @@ class CycleReport:
     e_from_cap: float
     e_converter_loss: float
 
-    @property
-    def e_loads_total(self) -> float:
-        return sum(self.e_by_load.values())
-
 
 @dataclass(frozen=True)
 class Phase:
@@ -454,8 +450,7 @@ def run_cycle(
     while sm.state.cycle:
         state_before = sm.state
         eng.step(dt)
-    e_by_load = dict(eng.ledger.e_load_by_component)
-    e_conv_loss = eng.ledger.e_converter_loss
+    led = eng.ledger
     return (
         CycleReport(
             success=eng.transmissions == 1,
@@ -463,9 +458,9 @@ def run_cycle(
             duration_s=eng.t,
             v_before=cap2.v,
             v_after=eng.v2,
-            e_by_load=e_by_load,
-            e_from_cap=sum(e_by_load.values()) + e_conv_loss,
-            e_converter_loss=e_conv_loss,
+            e_by_load=dict(led.e_load_by_component),
+            e_from_cap=led.e_load_total + led.e_converter_loss,
+            e_converter_loss=led.e_converter_loss,
         ),
         eng.conv2,
         replace(cap2, v=eng.v2),

@@ -23,8 +23,11 @@ from .analog_frontend import (
     ReflectionModel,
     ResonantTank,
     builtin_frontend_presets,
+    preset_targets,
 )
 from .engine import (
+    COUPLING_IDEAL,
+    COUPLING_THEVENIN,
     EngineConfig,
     FrontendConfig,
     ManagementConfig,
@@ -85,9 +88,9 @@ _KEYS: tuple[_Key, ...] = (
         "str",
         "zerovt_100MHz",
         "calibrated chain preset supplying device/stages/v_drop/alpha/r_in/tank",
-        ("schottky_100MHz", "zerovt_100MHz", "zerovt_900MHz", _PRESET_NONE),
+        (*preset_targets(), _PRESET_NONE),
     ),
-    _Key("frontend.device", "str", "zero_vt_mosfet", "rectifying device", ("schottky", "zero_vt_mosfet")),
+    _Key("frontend.device", "str", "zero_vt_mosfet", "rectifying device", tuple(d.value for d in Device)),
     _Key("frontend.stages", "int", "25", "voltage-doubler stage count"),
     _Key("frontend.v_drop", "float", "0.05", "per-device conduction drop"),
     _Key("frontend.alpha", "float", "0.7", "per-stage geometric contribution ratio"),
@@ -97,7 +100,7 @@ _KEYS: tuple[_Key, ...] = (
     _Key("frontend.tank_q", "float", "2.8184", "resonant tank quality factor"),
     _Key("frontend.carrier_hz", "float", "100000000.0", "ambient carrier frequency"),
     _Key("frontend.gamma_sq", "float", "0.5", "reflected power fraction at the unmatched antenna"),
-    _Key("frontend.coupling", "str", "thevenin", "rectifier-to-cap coupling model", ("thevenin", "ideal")),
+    _Key("frontend.coupling", "str", "thevenin", "rectifier-to-cap coupling model", (COUPLING_THEVENIN, COUPLING_IDEAL)),
     _Key("frontend.ideal_efficiency", "float", "1.0", "harvest efficiency in ideal coupling"),
     _Key("storage.cap1_c_f", "float", "1.5", "harvest cap capacitance"),
     _Key("storage.cap1_v0", "float", "0.0", "harvest cap initial voltage"),
@@ -107,8 +110,6 @@ _KEYS: tuple[_Key, ...] = (
     _Key("storage.cap2_r_leak_ohm", "float", "20000000.0", "reservoir cap leak resistance (low-leakage part)"),
     _Key("storage.cap2_v_max", "float", "4.5", "reservoir cap ceiling; the pump pauses there"),
     _Key("storage.conv1_enabled", "bool", "true", "stage-one converter present"),
-    _Key("storage.conv1_v_startup", "float", "0.5", "converter 1 startup voltage"),
-    _Key("storage.conv1_v_min_operate", "float", "0.3", "converter 1 dropout voltage"),
     _Key("storage.conv1_efficiency", "float", "0.9", "converter 1 efficiency"),
     _Key("storage.conv2_v_startup", "float", "0.5", "converter 2 startup voltage"),
     _Key("storage.conv2_v_min_operate", "float", "0.25", "converter 2 undervoltage cutoff, below the 0.3 V budget floor"),
@@ -310,11 +311,12 @@ def build_scenario(values: dict[str, str]) -> Scenario:
     if src_type == "constant":
         source = ConstantSource(level_dbm=g("source.level_dbm"))
     elif src_type == "fluctuating":
+        seed = g("engine.seed")
         source = FluctuatingSource(
             lo_dbm=g("source.lo_dbm"),
             hi_dbm=g("source.hi_dbm"),
             dwell_s=g("source.dwell_s"),
-            seed=g("source.seed"),
+            seed=g("source.seed") if seed is None else seed,
         )
     else:
         source = load_trace_csv(g("source.trace_csv"), hold_last=g("source.hold_last"))
@@ -349,11 +351,9 @@ def build_scenario(values: dict[str, str]) -> Scenario:
             r_leak=g("storage.cap2_r_leak_ohm"),
             name="cap2",
         ),
+        # The pump's thresholds are the transfer policy's.
         conv1=DcDcConverter(
-            v_startup=g("storage.conv1_v_startup"),
-            v_min_operate=g("storage.conv1_v_min_operate"),
-            efficiency=g("storage.conv1_efficiency"),
-            enabled=g("storage.conv1_enabled"),
+            efficiency=g("storage.conv1_efficiency"), enabled=g("storage.conv1_enabled")
         ),
         conv2=DcDcConverter(
             v_startup=g("storage.conv2_v_startup"),
@@ -411,7 +411,6 @@ def build_scenario(values: dict[str, str]) -> Scenario:
         t_end=g("engine.t_end_s"),
         max_transmissions=g("engine.max_transmissions"),
         stop_stored_j=g("engine.stop_stored_j"),
-        seed=g("engine.seed"),
     )
 
     return Scenario(

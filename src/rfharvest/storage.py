@@ -69,6 +69,9 @@ class DcDcConverter:
     around: the converter holds up slightly past the usable minimum, so a
     cycle sized to land exactly at the floor finishes instead of dropping
     out on its last few milliseconds.
+
+    Converter 1, the charge pump, runs on its TransferPolicy thresholds
+    instead (see transfer_step); its own two are not read.
     """
 
     v_startup: float = 0.5
@@ -164,17 +167,16 @@ def transfer_step(
 
     Plain-float kernel like cap_euler.  Returns (v1, v2, conv1, moved,
     lost): moved is the energy deposited into cap2, lost the converter's
-    conversion loss.  The pump draws pol.pump_current from cap1, never
-    below pol.stop_v in one step, and pauses while cap2 sits at its
-    ceiling.  Leakage is not applied here; step the caps separately for
-    that.
+    conversion loss.  conv1 runs while enabled, from pol.start_v down to
+    pol.stop_v; its own thresholds are not read.  The pump draws
+    pol.pump_current from cap1, never below pol.stop_v in one step, and
+    pauses while cap2 sits at its ceiling.  Leakage is not applied here;
+    step the caps separately for that.
     """
-    conv1 = dcdc_update_running(conv1, v1)
-    if conv1.running and v1 <= pol.stop_v:
-        # Drained to the floor: the converter drops out and must see
-        # start_v again before pumping resumes.
-        conv1 = replace(conv1, running=False)
-    if not conv1.running or dt == 0.0 or v2 >= cap2_v_max:
+    running = conv1.enabled and (conv1.running or v1 >= pol.start_v) and v1 > pol.stop_v
+    if running != conv1.running:
+        conv1 = replace(conv1, running=running)
+    if not running or dt == 0.0 or v2 >= cap2_v_max:
         return v1, v2, conv1, 0.0, 0.0
     # Charge leaving cap1, limited so v1 stops at the converter floor.
     q = min(pol.pump_current * dt, c1 * (v1 - pol.stop_v))

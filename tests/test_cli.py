@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import configparser
+import hashlib
 import re
 
 import pytest
 
 from rfharvest.cli import SWEEP_CSV_HEADER, main
+from rfharvest.engine import Engine
 from rfharvest.errors import LedgerError
 
 
@@ -123,6 +125,21 @@ def test_run_seeded_rerun_is_byte_identical(tmp_path, capsys):
 
     _, out3, _ = _run(capsys, ["run", scn, "--seed", "8"])
     assert out3 != out1
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    # ideal coupling, constant source, pump and loads off
+    (["run", "paper_ideal", "--until", "86400"],
+     "12b9432df1a2073bd46bd6c015b6ba4c6ad7e82dc203f89ebadc420853949af7"),
+    # the --seed override and the first pump episode, at 82,852 s
+    (["run", "realistic_default", "--seed", "0", "--until", "100000"],
+     "f748350818fe3f5844420e925a38b8df50c7eb34f4927188b44039233a75d5a3"),
+], ids=["paper_ideal_1d", "realistic_seed0"])
+def test_run_trace_bytes_are_pinned(tmp_path, capsys, argv, sha256):
+    trace = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, argv + ["--trace", str(trace)])
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
 
 
 def test_run_warns_when_monitor_outdraws_harvest(tmp_path, capsys):
@@ -251,6 +268,51 @@ def test_sweep_with_no_values_emits_header_only(tmp_path, capsys):
     code, out, _ = _run(capsys, ["sweep", scn, "--sweep", "source.level_dbm="])
     assert code == 0
     assert out == SWEEP_CSV_HEADER + "\n"
+
+
+def _short_trace_scenario(d):
+    return _trace_scenario(d, _write(d, "t.csv", "time_s,power_dbm\n0,-30\n600,-30\n"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: ["sweep", "paper_ideal", "--sweep", "engine.t_end_s=400000,abc"],
+     "engine.t_end_s: cannot parse 'abc'"),
+    (lambda d: ["sweep", _short_trace_scenario(d), "--sweep", "engine.t_end_s=300,1000000"],
+     "trace ends at 600.0 s"),
+], ids=["unparsable_value", "past_the_trace"])
+def test_sweep_checks_every_value_before_the_first_run(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    """A bad value fails before any run starts, not after the runs before it."""
+    runs = []
+    engine_run = Engine.run
+
+    def counting_run(self, trace_path=None):
+        runs.append(self)
+        return engine_run(self, trace_path)
+
+    monkeypatch.setattr(Engine, "run", counting_run)
+    code, out, err = _run(capsys, argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert runs == []
+
+
+def test_sweep_seed_wins_over_the_source_seed(tmp_path, capsys):
+    scn = _write(tmp_path, "sw.scenario", (
+        "[management]\nloads_enabled = false\n\n"
+        "[engine]\nt_end_s = 1800.0\n"
+    ))
+
+    def harvested(*extra):
+        code, out, _ = _run(capsys, ["sweep", scn, *extra])
+        assert code == 0
+        return [line.split(",")[4] for line in out.splitlines()[1:]]
+
+    by_source_seed = harvested("--sweep", "source.seed=1,2,5")
+    assert len(set(by_source_seed)) == 3
+    assert harvested("--seed", "5", "--sweep", "source.seed=1,2") == [by_source_seed[2]] * 2
 
 
 def test_sweep_unknown_key_exits_with_usage_error(tmp_path, capsys):

@@ -143,25 +143,6 @@ def test_seeded_run_traces_are_byte_identical(tmp_path):
     assert b1.startswith((TRACE_HEADER + "\n").encode())
 
 
-def test_engine_seed_overrides_source_seed():
-    def run_with(source_seed, engine_seed):
-        scn = Scenario(
-            source=FluctuatingSource(-43.0, -33.0, 60.0, seed=source_seed),
-            frontend=_frontend(),
-            storage=_storage(),
-            management=ManagementConfig(loads_enabled=False),
-            engine=EngineConfig(t_end=1800.0, seed=engine_seed),
-        )
-        return run_scenario(scn)
-
-    base = run_with(7, None)
-    overridden = run_with(0, 7)
-    different = run_with(0, None)
-    assert overridden.v_cap1 == base.v_cap1
-    assert overridden.ledger.e_harvested == base.ledger.e_harvested
-    assert different.ledger.e_harvested != base.ledger.e_harvested
-
-
 def test_duty_cycle_trace_structure(tmp_path):
     trace = tmp_path / "cycle.csv"
     res = run_scenario(_hot_scenario(), trace_path=str(trace))

@@ -243,11 +243,11 @@ def test_run_cycle_per_load_energies_match_budget():
     assert by["switch_zigbee"] == pytest.approx(0.035**2 * 0.045 * 2.7, rel=1e-9)
     # converter balance: cap discharge = loads + conversion loss, exactly
     assert report.e_from_cap == pytest.approx(
-        report.e_loads_total + report.e_converter_loss, rel=1e-12
+        sum(report.e_by_load.values()) + report.e_converter_loss, rel=1e-12
     )
     # 90% efficient to within the midpoint-voltage discretization
     assert report.e_from_cap == pytest.approx(
-        report.e_loads_total / 0.9, rel=5e-4
+        sum(report.e_by_load.values()) / 0.9, rel=5e-4
     )
     assert report.e_converter_loss > 0.0
 
@@ -390,7 +390,7 @@ def test_run_cycle_energy_balance_any_preload(v0, r_leak):
     leak_bound = report.v_before**2 / r_leak * report.duration_s
     assert -1e-12 <= e_cap_drop - report.e_from_cap <= leak_bound + 1e-12
     assert report.e_from_cap == pytest.approx(
-        report.e_loads_total + report.e_converter_loss, rel=1e-12, abs=1e-15
+        sum(report.e_by_load.values()) + report.e_converter_loss, rel=1e-12, abs=1e-15
     )
     assert sm.state is NodeState.SLEEP
     assert not sm.enable_line

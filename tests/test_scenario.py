@@ -33,7 +33,6 @@ def test_empty_text_builds_the_default_scenario():
     assert scn.management.monitor.go_threshold == 2.0
     assert scn.engine.dt_coarse == 1.0 and scn.engine.dt_fine == 1e-3
     assert scn.engine.max_transmissions is None
-    assert scn.engine.seed is None
 
 
 def test_default_origins_and_assumptions():
@@ -61,10 +60,26 @@ def test_unknown_section_and_key_are_rejected_by_name():
     for key in ("conv1_v_out_setpoint", "conv2_v_out_setpoint"):
         with pytest.raises(ScenarioError, match=f"storage.{key}"):
             parse_scenario(f"[storage]\n{key} = 3.3\n")
+    # the pump starts and stops at transfer_start_v and transfer_stop_v
+    for key in ("conv1_v_startup", "conv1_v_min_operate"):
+        with pytest.raises(ScenarioError, match=f"storage.{key}"):
+            parse_scenario(f"[storage]\n{key} = 0.4\n")
     # the monitor row of the budget is set by i_active_a and check_duration_s
     for key in ("profile.monitor_active.i_a", "profile.monitor_active.t_s"):
         with pytest.raises(ScenarioError, match=f"management.{key}"):
             parse_scenario(f"[management]\n{key} = 1.0\n")
+
+
+def test_engine_seed_overrides_source_seed():
+    def source_of(text):
+        return parse_scenario(text).scenario.source
+
+    assert source_of("[source]\nseed = 7\n").seed == 7
+    assert source_of("[source]\nseed = 0\n[engine]\nseed = 7\n").seed == 7
+    assert source_of("[source]\nseed = 0\n").seed == 0
+    # a source without a seed ignores engine.seed
+    constant = source_of("[source]\ntype = constant\n[engine]\nseed = 7\n")
+    assert isinstance(constant, ConstantSource)
 
 
 def test_source_type_gates_its_keys():
@@ -105,7 +120,7 @@ def test_apply_override_rebuilds_from_explicit_keys():
 def test_optional_none_literal_and_numeric_validation():
     b = parse_scenario("[engine]\nmax_transmissions = 3\nseed = 9\n")
     assert b.scenario.engine.max_transmissions == 3
-    assert b.scenario.engine.seed == 9
+    assert b.scenario.source.seed == 9
     b = parse_scenario("[engine]\nmax_transmissions = none\n")
     assert b.scenario.engine.max_transmissions is None
     with pytest.raises(ScenarioError):

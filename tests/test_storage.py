@@ -192,6 +192,29 @@ def test_transfer_stops_exactly_at_floor_and_drops_out():
     assert moved2 == 0.0 and not cv2.running and v1b == v1
 
 
+def test_transfer_follows_the_policy_hysteresis():
+    pol = TransferPolicy(start_v=0.5, stop_v=0.3)
+    # a running pump at stop_v moves nothing and stops
+    on = DcDcConverter(enabled=True, running=True)
+    v1, v2, cv, moved, lost = transfer_step(0.3, 1.5, 1.0, 1.0, on, pol, 1.0)
+    assert (v1, v2, moved, lost) == (0.3, 1.0, 0.0, 0.0)
+    assert not cv.running
+    # between stop_v and start_v a stopped pump stays off
+    for v in (0.3001, 0.4, 0.4999):
+        v1, _, cv, moved, _ = transfer_step(v, 1.5, 1.0, 1.0, cv, pol, 1.0)
+        assert moved == 0.0 and v1 == v and not cv.running
+    # at start_v it pumps, and keeps pumping below start_v
+    v1, _, cv, moved, _ = transfer_step(0.5, 1.5, 1.0, 1.0, cv, pol, 1.0)
+    assert cv.running and moved > 0.0 and v1 < 0.5
+    v1, _, cv, moved, _ = transfer_step(0.4, 1.5, 1.0, 1.0, cv, pol, 1.0)
+    assert cv.running and moved > 0.0 and v1 < 0.4
+    # a disabled converter never pumps
+    for running in (False, True):
+        off = DcDcConverter(enabled=False, running=running)
+        v1, _, cv, moved, _ = transfer_step(4.0, 1.5, 1.0, 1.0, off, pol, 1.0)
+        assert moved == 0.0 and v1 == 4.0 and not cv.running
+
+
 def test_transfer_pauses_at_cap2_ceiling():
     conv1 = dcdc_update_running(DcDcConverter(enabled=True), 1.0)
     pol = TransferPolicy()
