@@ -3,7 +3,9 @@
 Wires the pipeline together: ambient source -> reflection -> resonant
 tank -> rectifier -> harvest cap -> charge pump -> reservoir cap ->
 monitor / controller loads, advancing with a coarse step while the node
-is Cold or Sleep and a fine step during checks and cycles.
+is Cold or Sleep and a fine step during checks and cycles.  Coarse steps
+come in stretches: one step() call takes every coarse step up to the next
+window end, wake-up or stop condition, the quiet ones in one loop.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -71,6 +73,7 @@ __all__ = [
 ]
 
 TRACE_HEADER = "t_s,p_avail_dbm,v_cap1,v_cap2,state,e_harvested_j,e_consumed_j,e_leaked_j"
+_TRACE_ROW = "{:.6f},{:.6g},{:.10g},{:.10g},{},{:.10g},{:.10g},{:.10g}\n".format
 
 #: Relative ledger tolerance; the absolute floor keeps short, nearly
 #: powerless runs from tripping on float noise.
@@ -212,9 +215,9 @@ class Engine:
     """One simulation run: single-use, strictly sequential.
 
     Construct with a scenario, then call run() once; step(dt) advances a
-    single step for fine-grained inspection.  Capacitor state lives in
-    plain float attributes; only the converters and load switches are
-    records.
+    single step for fine-grained inspection, or a coarse stretch of many
+    (see _pick_dt).  Capacitor state lives in plain float attributes; only
+    the converters and load switches are records.
     """
 
     def __init__(self, scenario: Scenario):
@@ -265,6 +268,8 @@ class Engine:
         self._r_out = math.inf
         self._p_ideal = 0.0
 
+        self._trace = None  # open trace CSV while run() writes one row per step
+
         self.transmissions = 0
         self.aborted_cycles = 0
         self.time_to_first_tx: float | None = None
@@ -285,7 +290,12 @@ class Engine:
         else:
             self._p_ideal = fe.ideal_efficiency * p_del
 
-    def _pick_dt(self) -> float:
+    def _substep_dt(self) -> float:
+        """The single-step size rule: dt_fine in a check or cycle, else
+        dt_coarse cut short (never below dt_fine) to land on the window end
+        or the wake-up, and on t_end.  Refreshes a stale window first."""
+        if self.t >= self._window_until:
+            self._refresh_window()
         eng = self.scenario.engine
         if self.sm.state.fine:
             dt = eng.dt_fine
@@ -304,16 +314,193 @@ class Engine:
             dt = remaining
         return dt
 
+    def _pick_dt(self) -> float:
+        """dt of the next step() call: the single-step rule, or in Cold or
+        Sleep a coarse stretch of whole coarse steps up to the earliest of
+        the window end, the wake-up, t_end, one wake period (a Cold -> Sleep
+        flip inside the stretch schedules no check before that) and, with
+        stop_stored_j set, the last step before which the stored energy
+        provably stays below it."""
+        dt = self._substep_dt()
+        sc = self.scenario
+        eng = sc.engine
+        dtc = eng.dt_coarse
+        t = self.t
+        if dt < dtc or self.sm.state.fine or not self._window_until > t:
+            return dt
+        span = min(self._window_until, eng.t_end) - t
+        if sc.management.loads_enabled:
+            span = min(span, sc.management.monitor.wake_period)
+            if self.sm.state is NodeState.SLEEP:
+                span = min(span, self.sm.next_wake - t)
+        stop = eng.stop_stored_j
+        if stop is not None:
+            # Per-step bound on harvested energy: ideal coupling deposits
+            # exactly p_ideal * dt; the thevenin charge current is at most
+            # v_oc / r_out at a midpoint voltage below v_oc plus half its rise.
+            if sc.frontend.coupling == COUPLING_THEVENIN:
+                i_max = self._v_oc / self._r_out
+                gain = i_max * (self._v_oc + 0.5 * i_max * dtc / self.c1) * dtc
+            else:
+                gain = self._p_ideal * dtc
+            noise = 1e-12 * (stop + self._e0)  # rounding of the stored energy, per step
+            room = stop - self.ledger.e_stored_delta - noise
+            span = min(span, room / (gain + noise) * dtc)
+        n = math.floor(span / dtc)
+        return n * dtc if n > 1 else dt
+
     def step(self, dt: float) -> None:
-        """Advance the whole pipeline exactly one step of size dt."""
+        """Advance the pipeline by dt.
+
+        dt <= dt_coarse is one step.  A longer dt must be a coarse stretch
+        as _pick_dt returns it, in Cold or Sleep: a whole number of coarse
+        steps, each sized by the single-step rule, the quiet ones taken by
+        _quiet_steps and the rest by _step_one.  A stretch crosses no window
+        end and reaches no check, so it advances exactly dt (up to the
+        rounding of the clock) at one source level.
+        """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
+        if self.t >= self._window_until:
+            self._refresh_window()
+        dtc = self.scenario.engine.dt_coarse
+        if dt <= dtc:
+            self._step_one(dt)
+            return
+        left = round(dt / dtc)
+        if self.sm.state.fine or abs(left * dtc - dt) > 1e-9 * dt:
+            raise QuantityError(
+                f"dt {dt!r} is no stretch of whole {dtc!r} s steps in state {self.sm.state.value}"
+            )
+        while left > 0:
+            sub = self._substep_dt()
+            done = self._quiet_steps(left if sub == dtc else 1, sub)
+            if not done:
+                self._step_one(sub)
+                done = 1
+            left -= done
+
+    def _quiet_steps(self, n: int, dt: float) -> int:
+        """Take up to n quiet steps of dt in one loop over local variables;
+        return how many were taken (0: the next step is not quiet).
+
+        The caller guarantees Cold or Sleep.  A step is quiet when the
+        monitor keeps its state and the pump cannot act.  After the first
+        step the loop goes on only while the single-step rule would take a
+        full coarse step.  The arithmetic is _step_one's, cap_euler inlined,
+        in the same order, so the results are bit for bit the same.
+        """
+        sc = self.scenario
+        st = sc.storage
+        mg = sc.management
+        sm = self.sm
+        pump_watch = st.conv1.enabled
+        if pump_watch and self.conv1.running:
+            return 0
+        t = self.t
+        bound = min(self._window_until, sc.engine.t_end)
+        # Quiet while lo <= v2 < hi: Cold stays dead, Sleep stays alive.
+        i_mon, lo, hi = 0.0, -math.inf, math.inf
+        if mg.loads_enabled:
+            if sm.state is NodeState.SLEEP:
+                if t >= sm.next_wake:
+                    return 0
+                bound = min(bound, sm.next_wake)
+                i_mon, lo = mg.monitor.i_sleep, mg.monitor.v_min_operate
+            else:
+                hi = mg.monitor.v_min_operate
+        dtc = sc.engine.dt_coarse
+        start_v = st.transfer.start_v
+        c1, c2, r1, r2, e0 = self.c1, self.c2, self.r1, self.r2, self._e0
+        thevenin = sc.frontend.coupling == COUPLING_THEVENIN
+        v_oc, r_out = self._v_oc, self._r_out
+        e_in = self._p_ideal * dt
+        grow = 2.0 * e_in / c1
+        e_front = 0.0 if thevenin else self._p_del * dt - e_in
+        e_refl = (self._p_avail - self._p_del) * dt
+        sqrt = math.sqrt
+        trace = self._trace
+        dbm, label = self._window_dbm, sm.state.value
+        led = self.ledger
+        harvested, leaked, conv_loss = led.e_harvested, led.e_leaked, led.e_converter_loss
+        reflected, load_total = led.e_reflected, led.e_load_total
+        by = led.e_load_by_component
+        e_sleep = by.get("monitor_sleep", 0.0)
+        v1, v2 = self.v1, self.v2
+        k = 0
+        while lo <= v2 < hi:
+            e1_before = 0.5 * c1 * v1 * v1
+            if thevenin:
+                head = v_oc - v1
+                i_chg = head / r_out if head > 0.0 else 0.0
+                u = v1
+            else:
+                i_chg = 0.0
+                u = sqrt(v1 * v1 + grow) if e_in > 0.0 else v1
+            i_leak = u / r1
+            v1n = u + (i_chg - i_leak) * dt / c1
+            if v1n < 0.0:
+                v1n = 0.0
+            v_mid = 0.5 * (u + v1n)
+            leaked1 = i_leak * v_mid * dt
+            if v1n == 0.0:
+                leaked1 = min(leaked1, 0.5 * c1 * u * u + (i_chg if i_chg > 0.0 else 0.0) * v_mid * dt)
+            if pump_watch and v1n >= start_v:
+                break
+            harvested += (0.5 * c1 * v1n * v1n - e1_before) + leaked1 + e_front
+            conv_loss += e_front
+            leaked += leaked1
+            reflected += e_refl
+            v1 = v1n
+
+            e2_before = 0.5 * c2 * v2 * v2
+            i_leak = v2 / r2
+            v2n = v2 + (-i_mon - i_leak) * dt / c2
+            if v2n < 0.0:
+                v2n = 0.0
+            leaked2 = i_leak * (0.5 * (v2 + v2n)) * dt
+            if v2n == 0.0:
+                leaked2 = min(leaked2, e2_before)
+            leaked += leaked2
+            if i_mon > 0.0:
+                mon_share = i_mon * 0.5 * (v2 + v2n) * dt
+                if mon_share > 0.0:
+                    e_sleep += mon_share
+                    load_total += mon_share
+                    extra = (e2_before - 0.5 * c2 * v2n * v2n - leaked2) - mon_share
+                    if extra != 0.0:
+                        e_sleep += extra
+                        load_total += extra
+            v2 = v2n
+
+            t = t + dt
+            stored = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - e0
+            res = harvested - leaked - conv_loss - load_total - stored
+            tol = LEDGER_REL_TOL * harvested
+            k += 1
+            if abs(res) > (tol if tol >= LEDGER_ABS_FLOOR else LEDGER_ABS_FLOOR):
+                break  # led.check() below raises with the message
+            if trace is not None:
+                trace.write(_TRACE_ROW(
+                    t, dbm, v1, v2, label, harvested, conv_loss + load_total, leaked
+                ))
+            if k == n or bound - t < dtc:
+                break
+        if k:
+            self.t, self.v1, self.v2 = t, v1, v2
+            led.e_harvested, led.e_leaked, led.e_converter_loss = harvested, leaked, conv_loss
+            led.e_reflected, led.e_load_total, led.e_stored_delta = reflected, load_total, stored
+            if e_sleep or "monitor_sleep" in by:
+                by["monitor_sleep"] = e_sleep
+            led.check()
+        return k
+
+    def _step_one(self, dt: float) -> None:
+        """Advance the whole pipeline exactly one step of size dt."""
         led = self.ledger
         sc = self.scenario
         thevenin = sc.frontend.coupling == COUPLING_THEVENIN
         t = self.t
-        if t >= self._window_until:
-            self._refresh_window()
 
         # Harvest into cap1.  Attributions come from energy differences so
         # the ledger closes exactly.
@@ -423,29 +610,22 @@ class Engine:
             res = -res
         if res > led.tolerance():
             led.check()
+        if self._trace is not None:
+            self._trace.write(_TRACE_ROW(
+                self.t, self._window_dbm, self.v1, v2, self.sm.state.value,
+                led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked,
+            ))
 
     def run(self, trace_path: str | None = None) -> SimResult:
         eng = self.scenario.engine
         t_end = eng.t_end
         stop_reason = "t_end"
-        trace = None
         try:
             if trace_path is not None:
-                trace = open(trace_path, "w", encoding="utf-8")
-                trace.write(TRACE_HEADER + "\n")
+                self._trace = open(trace_path, "w", encoding="utf-8")
+                self._trace.write(TRACE_HEADER + "\n")
             while self.t < t_end - 1e-12:
-                if self.t >= self._window_until:
-                    self._refresh_window()
                 self.step(self._pick_dt())
-                if trace is not None:
-                    led = self.ledger
-                    trace.write(
-                        f"{self.t:.6f},{self._window_dbm:.6g},{self.v1:.10g},"
-                        f"{self.v2:.10g},{self.sm.state.value},"
-                        f"{led.e_harvested:.10g},"
-                        f"{led.e_converter_loss + led.e_load_total:.10g},"
-                        f"{led.e_leaked:.10g}\n"
-                    )
                 if (
                     eng.max_transmissions is not None
                     and self.transmissions >= eng.max_transmissions
@@ -459,8 +639,9 @@ class Engine:
                     stop_reason = "stored"
                     break
         finally:
-            if trace is not None:
-                trace.close()
+            if self._trace is not None:
+                self._trace.close()
+                self._trace = None
         self.ledger.check()
         return SimResult(
             time_to_first_transmission=self.time_to_first_tx,

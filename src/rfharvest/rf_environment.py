@@ -131,6 +131,8 @@ def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
         return model.level_dbm, math.inf
     if isinstance(model, FluctuatingSource):
         k = int(t // model.dwell_s)
+        if (k + 1) * model.dwell_s <= t:  # t // dwell rounds down at some k * dwell
+            k += 1
         u = _u01(model.seed & _MASK64, k)
         level = model.lo_dbm + (model.hi_dbm - model.lo_dbm) * u
         return level, (k + 1) * model.dwell_s

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -290,3 +291,104 @@ def test_rectifier_never_pulls_charge_back():
     assert res.stop_reason == "t_end"
     assert res.v_cap1 == 3.0
     assert res.ledger.e_harvested == 0.0
+
+
+def _recorded_calls(monkeypatch) -> list[tuple[float, float]]:
+    """Wrap Engine.step to record each call's dt and the delivered RF power
+    it integrates at, as the per-layer tracer does."""
+    calls = []
+    step = Engine.step
+
+    def wrapper(eng, dt):
+        calls.append((dt, eng._p_del))
+        step(eng, dt)
+
+    monkeypatch.setattr(Engine, "step", wrapper)
+    return calls
+
+
+def _thevenin_fill(stop_j=0.01):
+    return replace(_ideal_scenario(stop_j, gamma=0.5), frontend=_frontend(gamma=0.5))
+
+
+def _contract_scenarios():
+    hot = replace(_hot_scenario(), frontend=_frontend(gamma=0.5))
+    return [
+        # pump episodes, checks and a cycle; the monitor powers up inside a
+        # stretch of the constant source
+        pytest.param(hot, "transmissions", id="constant_cycle"),
+        # the same with dwell boundaries between coarse steps
+        pytest.param(
+            replace(hot, source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4)),
+            "transmissions", id="fluctuating_cycle",
+        ),
+        pytest.param(_ideal_scenario(0.032, gamma=0.5), "stored", id="ideal_fill"),
+        pytest.param(_thevenin_fill(), "stored", id="thevenin_fill"),
+    ]
+
+
+@pytest.mark.parametrize("scn, stop_reason", _contract_scenarios())
+def test_step_advances_its_dt_at_one_source_level(monkeypatch, scn, stop_reason):
+    """Every step() call, coarse stretches included, advances exactly its dt
+    inside one source window: the calls' dt sum to the run's length, and
+    p_del * dt summed per call is the delivered RF the ledger implies."""
+    calls = _recorded_calls(monkeypatch)
+    res = run_scenario(scn)
+    assert res.stop_reason == stop_reason
+    assert max(dt for dt, _ in calls) > 1.0  # stretches were taken
+    assert math.fsum(dt for dt, _ in calls) == pytest.approx(res.t_final, rel=1e-9)
+    gamma_sq = scn.frontend.reflection.gamma_sq
+    delivered = math.fsum(p * dt for dt, p in calls)
+    implied = res.ledger.e_reflected * (1.0 - gamma_sq) / gamma_sq
+    assert delivered == pytest.approx(implied, rel=1e-9)
+
+
+def _run_single_steps(scn: Scenario) -> tuple:
+    """run()'s loop with every call one step of the single-step rule."""
+    eng = Engine(scn)
+    cfg = scn.engine
+    stop_reason = "t_end"
+    while eng.t < cfg.t_end - 1e-12:
+        eng.step(eng._substep_dt())
+        if cfg.max_transmissions is not None and eng.transmissions >= cfg.max_transmissions:
+            stop_reason = "transmissions"
+            break
+        if cfg.stop_stored_j is not None and eng.ledger.e_stored_delta >= cfg.stop_stored_j:
+            stop_reason = "stored"
+            break
+    return (
+        eng.time_to_first_tx, eng.transmissions, eng.aborted_cycles, eng.t,
+        eng.sm.state.value, eng.v1, eng.v2, eng.go_threshold, stop_reason, vars(eng.ledger),
+    )
+
+
+def _stretched_run(scn: Scenario) -> tuple:
+    res = run_scenario(scn)
+    return (
+        res.time_to_first_transmission, res.transmissions, res.aborted_cycles, res.t_final,
+        res.state_final, res.v_cap1, res.v_cap2, res.go_threshold, res.stop_reason,
+        vars(res.ledger),
+    )
+
+
+def _oracle_scenarios():
+    from test_acceptance import _random_scenario
+    from rfharvest.scenario import apply_override, read_builtin_scenario
+
+    rng = random.Random(20260816)
+    drawn = [_random_scenario(rng, i) for i in range(100)]
+    ideal = apply_override(
+        parse_scenario(read_builtin_scenario("paper_ideal")), "engine.t_end_s", "86400"
+    ).scenario
+    return [pytest.param(drawn[i], id=f"random{i}") for i in range(0, 100, 5)] + [
+        pytest.param(ideal, id="paper_ideal_1d"),
+        pytest.param(_thevenin_fill(), id="thevenin_fill"),
+    ]
+
+
+@pytest.mark.parametrize("scn", _oracle_scenarios())
+def test_stretches_match_single_steps_bit_for_bit(scn):
+    """Differential oracle: run() with coarse stretches against the same
+    scenario stepped one single-rule step per call; every result and ledger
+    field agrees bit for bit (repr tells -0.0 from 0.0)."""
+    assert repr(_stretched_run(scn)) == repr(_run_single_steps(scn))

@@ -66,6 +66,32 @@ def test_fluctuating_sample_always_in_band(lo, width, seed, t):
     assert lo <= _level(src, t) <= lo + width
 
 
+@given(
+    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=300)
+def test_fluctuating_window_boundary_belongs_to_the_next_window(dwell, k):
+    """At t = k * dwell the window is k: the level is window k's and the
+    window is still open, even where t // dwell rounds down to k - 1."""
+    src = FluctuatingSource(-43.0, -33.0, dwell, seed=5)
+    t = k * dwell
+    level, until = sample_window(src, t)
+    assert until > t
+    assert level == _level(src, (k + 0.5) * dwell)
+
+
+def test_fluctuating_window_boundary_example():
+    # 96.71710487190191 // 32.23903495730064 is 2.0, though the product is 3 dwells
+    dwell = 32.23903495730064
+    t = 3 * dwell
+    assert t == 96.71710487190191 and t // dwell == 2.0
+    src = FluctuatingSource(-43.0, -33.0, dwell, seed=0)
+    level, until = sample_window(src, t)
+    assert until == 4 * dwell
+    assert level == _level(src, 3.5 * dwell)
+
+
 def test_fluctuating_validation():
     with pytest.raises(QuantityError):
         FluctuatingSource(lo_dbm=-33.0, hi_dbm=-43.0, dwell_s=60.0, seed=0)
