@@ -326,6 +326,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--sweep wants KEY=V1,V2,..., got {args.sweep!r}"
         )
     values = [v for v in raw_values.split(",") if v.strip() != ""]
+    if not values:
+        raise ScenarioError(f"--sweep {args.sweep!r} names no values")
     with _open_out(args.out) as out:
         base = _load_bundle(args.scenario)
         if args.seed is not None:

@@ -207,7 +207,6 @@ class SimResult:
     v_cap2: float
     go_threshold: float | None
     ledger: EnergyLedger
-    trace_path: str | None
     stop_reason: str
 
 
@@ -269,6 +268,7 @@ class Engine:
         self._p_ideal = 0.0
 
         self._trace = None  # open trace CSV while run() writes one row per step
+        self._stretch: tuple[float, float, int] | None = None  # offered (t, dt, steps)
 
         self.transmissions = 0
         self.aborted_cycles = 0
@@ -320,7 +320,8 @@ class Engine:
         the window end, the wake-up, t_end, one wake period (a Cold -> Sleep
         flip inside the stretch schedules no check before that) and, with
         stop_stored_j set, the last step before which the stored energy
-        provably stays below it."""
+        provably stays below it.  A stretch is recorded as the one offer
+        step() accepts above dt_coarse."""
         dt = self._substep_dt()
         sc = self.scenario
         eng = sc.engine
@@ -347,31 +348,36 @@ class Engine:
             room = stop - self.ledger.e_stored_delta - noise
             span = min(span, room / (gain + noise) * dtc)
         n = math.floor(span / dtc)
-        return n * dtc if n > 1 else dt
+        if n < 2:
+            return dt
+        self._stretch = (t, n * dtc, n)
+        return n * dtc
 
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt.
 
-        dt <= dt_coarse is one step.  A longer dt must be a coarse stretch
-        as _pick_dt returns it, in Cold or Sleep: a whole number of coarse
-        steps, each sized by the single-step rule, the quiet ones taken by
-        _quiet_steps and the rest by _step_one.  A stretch crosses no window
-        end and reaches no check, so it advances exactly dt (up to the
-        rounding of the clock) at one source level.
+        dt <= dt_coarse is one step.  A longer dt must be the coarse stretch
+        _pick_dt just offered at this t; any other raises before anything
+        moves.  Its steps are sized by the single-step rule, the quiet ones
+        taken by _quiet_steps and the rest by _step_one.  A stretch crosses
+        no window end and reaches no check, so it advances exactly dt (up to
+        the rounding of the clock) at one source level.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
-        if self.t >= self._window_until:
-            self._refresh_window()
         dtc = self.scenario.engine.dt_coarse
         if dt <= dtc:
+            if self.t >= self._window_until:
+                self._refresh_window()
             self._step_one(dt)
             return
-        left = round(dt / dtc)
-        if self.sm.state.fine or abs(left * dtc - dt) > 1e-9 * dt:
+        offer = self._stretch
+        if offer is None or offer[:2] != (self.t, dt):
             raise QuantityError(
-                f"dt {dt!r} is no stretch of whole {dtc!r} s steps in state {self.sm.state.value}"
+                f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
+                f"_pick_dt offered at t = {self.t!r}"
             )
+        left = offer[2]
         while left > 0:
             sub = self._substep_dt()
             done = self._quiet_steps(left if sub == dtc else 1, sub)
@@ -523,28 +529,22 @@ class Engine:
         led.e_converter_loss += e_front_loss
         led.e_leaked += leaked1
         led.e_reflected += (self._p_avail - self._p_del) * dt
-        self.v1 = v1
 
-        # Charge pump cap1 -> cap2.  Skip cheaply while the pump cannot
-        # possibly act; hand real work to the unit operation.
+        # Charge pump cap1 -> cap2.
         st = sc.storage
-        if st.conv1.enabled and (self.conv1.running or v1 >= st.transfer.start_v):
-            v2 = self.v2
-            c2 = self.c2
-            e1_pre = 0.5 * c1 * v1 * v1
-            e2_pre = 0.5 * c2 * v2 * v2
-            v1, v2, self.conv1, _moved, _lost = transfer_step(
-                v1, c1, v2, c2, self.conv1, st.transfer, dt, st.cap2_v_max
-            )
-            self.v1 = v1
-            self.v2 = v2
-            e_extracted = e1_pre - 0.5 * c1 * v1 * v1
-            e_deposited = 0.5 * c2 * v2 * v2 - e2_pre
-            led.e_converter_loss += e_extracted - e_deposited
-
-        # Management: monitor draw and, during cycles, converter-2 loads.
         v2 = self.v2
         c2 = self.c2
+        e2_pre = 0.5 * c2 * v2 * v2
+        v1, v2, self.conv1, _moved, _lost = transfer_step(
+            v1, c1, v2, c2, self.conv1, st.transfer, dt, st.cap2_v_max
+        )
+        self.v1 = v1
+        self.v2 = v2
+        e_extracted = e1_after - 0.5 * c1 * v1 * v1
+        e_deposited = 0.5 * c2 * v2 * v2 - e2_pre
+        led.e_converter_loss += e_extracted - e_deposited
+
+        # Management: monitor draw and, during cycles, converter-2 loads.
         e2_before = 0.5 * c2 * v2 * v2
         i_draw = 0.0
         if sc.management.loads_enabled:
@@ -597,19 +597,7 @@ class Engine:
         led.e_stored_delta = (
             0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - self._e0
         )
-        # Conservation guard, residual() inlined for speed; check() raises
-        # with the message when it trips.
-        res = (
-            led.e_harvested
-            - led.e_leaked
-            - led.e_converter_loss
-            - led.e_load_total
-            - led.e_stored_delta
-        )
-        if res < 0.0:
-            res = -res
-        if res > led.tolerance():
-            led.check()
+        led.check()
         if self._trace is not None:
             self._trace.write(_TRACE_ROW(
                 self.t, self._window_dbm, self.v1, v2, self.sm.state.value,
@@ -653,7 +641,6 @@ class Engine:
             v_cap2=self.v2,
             go_threshold=self.go_threshold,
             ledger=self.ledger,
-            trace_path=trace_path,
             stop_reason=stop_reason,
         )
 

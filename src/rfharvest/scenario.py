@@ -46,8 +46,6 @@ from .storage import DcDcConverter, Supercap, TransferPolicy
 
 __all__ = [
     "ScenarioBundle",
-    "scenario_key_help",
-    "default_values",
     "parse_scenario",
     "load_scenario",
     "apply_override",
@@ -152,11 +150,6 @@ _KEYS: tuple[_Key, ...] = (
 _KEY_BY_NAME = {k.name: k for k in _KEYS}
 
 
-def scenario_key_help() -> dict[str, str]:
-    """Dotted key -> one-line description, for documentation output."""
-    return {k.name: k.help for k in _KEYS}
-
-
 @dataclass
 class ScenarioBundle:
     """A built scenario plus the provenance of every configuration value."""
@@ -217,11 +210,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def default_values() -> dict[str, str]:
-    """The complete documented-default key set."""
-    return {k.name: k.default for k in _KEYS}
 
 
 def parse_scenario(text: str, path: str | None = None) -> ScenarioBundle:

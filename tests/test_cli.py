@@ -260,14 +260,18 @@ def test_sweep_writes_one_csv_row_per_value(tmp_path, capsys):
     assert v_oc == sorted(v_oc) and v_oc[0] < v_oc[-1]
 
 
-def test_sweep_with_no_values_emits_header_only(tmp_path, capsys):
-    scn = _write(tmp_path, "sw.scenario", (
-        "[source]\ntype = constant\nlevel_dbm = -37.0\n\n"
-        "[engine]\nt_end_s = 10.0\n"
-    ))
-    code, out, _ = _run(capsys, ["sweep", scn, "--sweep", "source.level_dbm="])
-    assert code == 0
-    assert out == SWEEP_CSV_HEADER + "\n"
+@pytest.mark.parametrize(
+    "spec", ["engine.t_end_s=", "engine.t_end_s=,,", "nosuch.key="],
+    ids=["empty", "commas_only", "unknown_key"],
+)
+def test_sweep_with_no_values_exits_with_usage_error(tmp_path, capsys, spec):
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = _run(capsys, ["sweep", "paper_ideal", "--sweep", spec,
+                                   "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert re.search(r"^error: .*names no values", err, re.MULTILINE)
+    assert not out_path.exists()
 
 
 def _short_trace_scenario(d):

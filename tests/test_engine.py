@@ -311,6 +311,16 @@ def _thevenin_fill(stop_j=0.01):
     return replace(_ideal_scenario(stop_j, gamma=0.5), frontend=_frontend(gamma=0.5))
 
 
+def _trace_cycle():
+    """The hot scenario fed by a held recording whose timestamps fall
+    between coarse steps; the cycle comes after the last sample."""
+    samples = ((0.0, -21.0), (37.25, -19.5), (101.6, -23.0), (240.125, -18.5), (333.3, -20.0))
+    return replace(
+        _hot_scenario(), frontend=_frontend(gamma=0.5),
+        source=TraceSource(samples, hold_last=True),
+    )
+
+
 def _contract_scenarios():
     hot = replace(_hot_scenario(), frontend=_frontend(gamma=0.5))
     return [
@@ -322,6 +332,7 @@ def _contract_scenarios():
             replace(hot, source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4)),
             "transmissions", id="fluctuating_cycle",
         ),
+        pytest.param(_trace_cycle(), "transmissions", id="trace_cycle"),
         pytest.param(_ideal_scenario(0.032, gamma=0.5), "stored", id="ideal_fill"),
         pytest.param(_thevenin_fill(), "stored", id="thevenin_fill"),
     ]
@@ -382,6 +393,7 @@ def _oracle_scenarios():
     ).scenario
     return [pytest.param(drawn[i], id=f"random{i}") for i in range(0, 100, 5)] + [
         pytest.param(ideal, id="paper_ideal_1d"),
+        pytest.param(_trace_cycle(), id="trace_cycle"),
         pytest.param(_thevenin_fill(), id="thevenin_fill"),
     ]
 
@@ -392,3 +404,48 @@ def test_stretches_match_single_steps_bit_for_bit(scn):
     scenario stepped one single-rule step per call; every result and ledger
     field agrees bit for bit (repr tells -0.0 from 0.0)."""
     assert repr(_stretched_run(scn)) == repr(_run_single_steps(scn))
+
+
+def _step_until(eng: Engine, done) -> Engine:
+    while not done(eng):
+        eng.step(eng._pick_dt())
+    return eng
+
+
+def _cold_at_60s():
+    hot = replace(_hot_scenario(), source=FluctuatingSource(-43.0, -33.0, 60.0, seed=0))
+    eng = _step_until(Engine(hot), lambda e: e.t >= 60.0)
+    assert eng.sm.state is NodeState.COLD
+    return eng
+
+
+def _at_sleep_wake_up():
+    return _step_until(
+        Engine(_hot_scenario(max_tx=None, t_end=5000.0)),
+        lambda e: e.sm.state is NodeState.SLEEP and e.t >= e.sm.next_wake,
+    )
+
+
+def _stale_offer():
+    """A stretch offered at t, asked for after one single step."""
+    eng = Engine(_ideal_scenario(None, t_end=1000.0))
+    dt = eng._pick_dt()
+    assert dt > 1.0
+    eng.step(1.0)
+    return eng, dt
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: (_cold_at_60s(), 600.0),  # ten 60 s source windows
+    lambda: (_at_sleep_wake_up(), 100.0),  # a check is due first
+    lambda: (_cold_at_60s(), math.inf),
+    _stale_offer,
+], ids=["cold_across_windows", "sleep_wake_up", "inf", "stale_offer"])
+def test_step_rejects_a_long_dt_that_was_not_offered(setup):
+    """Above dt_coarse, step() takes only the stretch _pick_dt offered at
+    the current t; anything else raises before the engine moves."""
+    eng, dt = setup()
+    before = repr((eng.t, eng.v1, eng.v2, vars(eng.ledger)))
+    with pytest.raises(QuantityError, match="not the stretch"):
+        eng.step(dt)
+    assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger))) == before

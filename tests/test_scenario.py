@@ -7,13 +7,12 @@ import pytest
 from rfharvest.errors import QuantityError, ScenarioError
 from rfharvest.rf_environment import ConstantSource, FluctuatingSource
 from rfharvest.scenario import (
+    _KEYS,
     apply_override,
     builtin_scenario_names,
-    default_values,
     load_scenario,
     parse_scenario,
     read_builtin_scenario,
-    scenario_key_help,
 )
 
 
@@ -160,7 +159,4 @@ def test_load_scenario_reads_files(tmp_path):
 
 
 def test_key_help_covers_every_default():
-    help_map = scenario_key_help()
-    defaults = default_values()
-    assert set(defaults) <= set(help_map)
-    assert all(text.strip() for text in help_map.values())
+    assert all(k.help.strip() for k in _KEYS)
