@@ -5,7 +5,13 @@ tank -> rectifier -> harvest cap -> charge pump -> reservoir cap ->
 monitor / controller loads, advancing with a coarse step while the node
 is Cold or Sleep and a fine step during checks and cycles.  Coarse steps
 come in stretches: one step() call takes every coarse step up to the next
-window end, wake-up or stop condition, the quiet ones in one loop.
+window end, wake-up or stop condition.  The quiet ones (monitor and pump
+idle) run in one loop over local variables with the per-step arithmetic
+in the per-step order, so results are bit for bit those of one step per
+call.  For 1 s steps in a run without a trace file that loop leaves out
+the products with dt, which are exact, and the ledger guard checks it at
+its end; other steps, and every step of a run that writes a trace, go
+through a loop that checks the ledger and writes the row after each step.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -66,6 +72,7 @@ __all__ = [
     "EngineConfig",
     "Scenario",
     "EnergyLedger",
+    "RunCounters",
     "SimResult",
     "Engine",
     "run_scenario",
@@ -197,6 +204,23 @@ class EnergyLedger:
 
 
 @dataclass
+class RunCounters:
+    """Work counts of one run.
+
+    An integrator step belongs to the regime of the node state it starts
+    in: fine in a check or a cycle state, coarse in Cold or Sleep, where
+    it is a pump step when the charge pump runs in it and quiet otherwise.
+    """
+
+    coarse_quiet: int = 0
+    coarse_pump: int = 0
+    fine_check: int = 0
+    fine_cycle: int = 0
+    windows: int = 0  # source windows sampled, one frontend solve each
+    quiet_calls: int = 0  # runs of quiet steps taken in one loop
+
+
+@dataclass
 class SimResult:
     time_to_first_transmission: float | None
     transmissions: int
@@ -208,6 +232,7 @@ class SimResult:
     go_threshold: float | None
     ledger: EnergyLedger
     stop_reason: str
+    counters: RunCounters
 
 
 class Engine:
@@ -268,14 +293,16 @@ class Engine:
         self._p_ideal = 0.0
 
         self._trace = None  # open trace CSV while run() writes one row per step
-        self._stretch: tuple[float, float, int] | None = None  # offered (t, dt, steps)
+        self._offer: tuple[float, float, int] | None = None  # _pick_dt's (t, dt, steps)
 
         self.transmissions = 0
         self.aborted_cycles = 0
         self.time_to_first_tx: float | None = None
+        self.counters = RunCounters()
 
     def _refresh_window(self) -> None:
         dbm, until = sample_window(self.scenario.source, self.t)
+        self.counters.windows += 1
         self._window_dbm = float(dbm)
         self._window_until = float(until)
         fe = self.scenario.frontend
@@ -320,14 +347,16 @@ class Engine:
         the window end, the wake-up, t_end, one wake period (a Cold -> Sleep
         flip inside the stretch schedules no check before that) and, with
         stop_stored_j set, the last step before which the stored energy
-        provably stays below it.  A stretch is recorded as the one offer
-        step() accepts above dt_coarse."""
+        provably stays below it.  The offer is recorded: a stretch is the one
+        dt above dt_coarse step() accepts, and an offered single step is
+        taken without asking the rule again."""
         dt = self._substep_dt()
         sc = self.scenario
         eng = sc.engine
         dtc = eng.dt_coarse
         t = self.t
         if dt < dtc or self.sm.state.fine or not self._window_until > t:
+            self._offer = (t, dt, 1)
             return dt
         span = min(self._window_until, eng.t_end) - t
         if sc.management.loads_enabled:
@@ -349,38 +378,54 @@ class Engine:
             span = min(span, room / (gain + noise) * dtc)
         n = math.floor(span / dtc)
         if n < 2:
-            return dt
-        self._stretch = (t, n * dtc, n)
-        return n * dtc
+            n = 1
+        else:
+            dt = n * dtc
+        self._offer = (t, dt, n)
+        return dt
 
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt.
 
-        dt <= dt_coarse is one step.  A longer dt must be the coarse stretch
-        _pick_dt just offered at this t; any other raises before anything
-        moves.  Its steps are sized by the single-step rule, the quiet ones
-        taken by _quiet_steps and the rest by _step_one.  A stretch crosses
-        no window end and reaches no check, so it advances exactly dt (up to
-        the rounding of the clock) at one source level.
+        dt <= dt_coarse is one step, no longer than the single-step rule's
+        (_substep_dt) and in a check or cycle exactly it.  A longer dt must
+        be the coarse stretch _pick_dt just offered at this t.  Any other dt
+        raises before anything moves.  A stretch's steps are sized by the
+        single-step rule; the quiet ones are taken by _quiet_seconds when
+        they last 1 s and no trace file is open, else by _quiet_steps, and
+        the rest by _step_one.  A stretch crosses no window end and reaches
+        no check, so it advances exactly dt (up to the rounding of the
+        clock) at one source level.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
         dtc = self.scenario.engine.dt_coarse
         if dt <= dtc:
-            if self.t >= self._window_until:
-                self._refresh_window()
+            if self._offer != (self.t, dt, 1):
+                sub = self._substep_dt()
+                if dt > sub or (dt != sub and self.sm.state.fine):
+                    raise QuantityError(
+                        f"dt {dt!r} breaks the single-step rule at t = {self.t!r}: "
+                        f"the step there is {sub!r}"
+                        + (" exactly" if self.sm.state.fine else " or shorter")
+                    )
             self._step_one(dt)
             return
-        offer = self._stretch
+        offer = self._offer
         if offer is None or offer[:2] != (self.t, dt):
             raise QuantityError(
                 f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
                 f"_pick_dt offered at t = {self.t!r}"
             )
+        untraced = self._trace is None
         left = offer[2]
         while left > 0:
             sub = self._substep_dt()
-            done = self._quiet_steps(left if sub == dtc else 1, sub)
+            n = left if sub == dtc else 1
+            if untraced and sub == 1.0:
+                done = self._quiet_seconds(n)
+            else:
+                done = self._quiet_steps(n, sub)
             if not done:
                 self._step_one(sub)
                 done = 1
@@ -394,7 +439,9 @@ class Engine:
         monitor keeps its state and the pump cannot act.  After the first
         step the loop goes on only while the single-step rule would take a
         full coarse step.  The arithmetic is _step_one's, cap_euler inlined,
-        in the same order, so the results are bit for bit the same.
+        in the same order, so the results are bit for bit the same.  This
+        is the loop for steps of any length and for runs that write a
+        trace: it writes a row and checks the ledger after every step.
         """
         sc = self.scenario
         st = sc.storage
@@ -498,6 +545,118 @@ class Engine:
             led.e_reflected, led.e_load_total, led.e_stored_delta = reflected, load_total, stored
             if e_sleep or "monitor_sleep" in by:
                 by["monitor_sleep"] = e_sleep
+            self.counters.coarse_quiet += k
+            self.counters.quiet_calls += 1
+            led.check()
+        return k
+
+    def _quiet_seconds(self, n: int) -> int:
+        """Take up to n quiet 1 s steps in one loop over local variables;
+        return how many were taken (0: the next step is not quiet).
+
+        The caller guarantees Cold or Sleep and writes no trace.  A step is
+        quiet when the monitor keeps its state, the pump cannot act and
+        neither cap clamps at 0 V; the loop stops before any other step and
+        leaves it to _step_one.  After the first step the loop goes on only
+        while the single-step rule would take a full coarse step.  The
+        arithmetic is _step_one's, cap_euler inlined, in the same order, so
+        the results are bit for bit the same: with dt = 1.0 every product
+        with dt is exact, so the loop leaves them out.  The ledger guard
+        runs once, at the end.
+        """
+        sc = self.scenario
+        st = sc.storage
+        mg = sc.management
+        sm = self.sm
+        pump_watch = st.conv1.enabled
+        if pump_watch and self.conv1.running:
+            return 0
+        t = self.t
+        v1, v2 = self.v1, self.v2
+        bound = min(self._window_until, sc.engine.t_end)
+        # Each step must land above floor1 and floor2: at 0 V a cap clamps,
+        # below v_min_operate a sleeping monitor browns out.  An empty cap
+        # that nothing charges or drains stays at exactly 0.0.
+        thevenin = sc.frontend.coupling == COUPLING_THEVENIN
+        fed = self._v_oc > 0.0 if thevenin else self._p_ideal > 0.0
+        floor1 = -1.0 if v1 == 0.0 and not fed else 0.0
+        floor2 = -1.0 if v2 == 0.0 else 0.0
+        i_mon = 0.0
+        if mg.loads_enabled:
+            lo = mg.monitor.v_min_operate
+            if sm.state is NodeState.SLEEP:
+                if t >= sm.next_wake or not lo > 0.0 or v2 < lo:
+                    return 0
+                bound = min(bound, sm.next_wake)
+                i_mon, floor2 = mg.monitor.i_sleep, lo
+            elif v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
+                return 0
+        dtc = sc.engine.dt_coarse
+        watch = st.transfer.start_v if pump_watch else math.inf
+        c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
+        hc1, hc2 = 0.5 * c1, 0.5 * c2
+        v_oc, r_out = self._v_oc, self._r_out
+        e_in = self._p_ideal
+        grow = 2.0 * e_in / c1
+        e_front = 0.0 if thevenin else self._p_del - e_in
+        e_refl = self._p_avail - self._p_del
+        n_mon, half_mon = -i_mon, i_mon * 0.5
+        sqrt = math.sqrt
+        led = self.ledger
+        harvested, leaked, conv_loss = led.e_harvested, led.e_leaked, led.e_converter_loss
+        reflected, load_total = led.e_reflected, led.e_load_total
+        by = led.e_load_by_component
+        e_sleep = by.get("monitor_sleep", 0.0)
+        e1, e2 = hc1 * v1 * v1, hc2 * v2 * v2
+        k = 0
+        for k in range(1, n + 1):
+            if thevenin:
+                head = v_oc - v1
+                i_chg = head / r_out if head > 0.0 else 0.0
+                u = v1
+            else:
+                i_chg = 0.0
+                u = sqrt(v1 * v1 + grow) if e_in > 0.0 else v1
+            i_leak = u / r1
+            v1n = u + (i_chg - i_leak) / c1
+            i_leak2 = v2 / r2
+            v2n = v2 + (n_mon - i_leak2) / c2
+            if not (floor1 < v1n < watch and v2n > floor2):
+                k -= 1
+                break
+            leaked1 = i_leak * (0.5 * (u + v1n))
+            e1n = hc1 * v1n * v1n
+            harvested += (e1n - e1) + leaked1 + e_front
+            conv_loss += e_front
+            leaked += leaked1
+            reflected += e_refl
+            v_sum = v2 + v2n
+            leaked2 = i_leak2 * (0.5 * v_sum)
+            leaked += leaked2
+            if i_mon > 0.0:
+                e2n = hc2 * v2n * v2n
+                mon_share = half_mon * v_sum
+                if mon_share > 0.0:
+                    e_sleep += mon_share
+                    load_total += mon_share
+                    extra = (e2 - e2n - leaked2) - mon_share
+                    if extra != 0.0:
+                        e_sleep += extra
+                        load_total += extra
+                e2 = e2n
+            v1, v2, e1 = v1n, v2n, e1n
+            t = t + 1.0
+            if bound - t < dtc:
+                break
+        if k:
+            self.t, self.v1, self.v2 = t, v1, v2
+            led.e_harvested, led.e_leaked, led.e_converter_loss = harvested, leaked, conv_loss
+            led.e_reflected, led.e_load_total = reflected, load_total
+            led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - self._e0
+            if e_sleep or "monitor_sleep" in by:
+                by["monitor_sleep"] = e_sleep
+            self.counters.coarse_quiet += k
+            self.counters.quiet_calls += 1
             led.check()
         return k
 
@@ -507,6 +666,7 @@ class Engine:
         sc = self.scenario
         thevenin = sc.frontend.coupling == COUPLING_THEVENIN
         t = self.t
+        state = self.sm.state
 
         # Harvest into cap1.  Attributions come from energy differences so
         # the ledger closes exactly.
@@ -535,7 +695,7 @@ class Engine:
         v2 = self.v2
         c2 = self.c2
         e2_pre = 0.5 * c2 * v2 * v2
-        v1, v2, self.conv1, _moved, _lost = transfer_step(
+        v1, v2, self.conv1, moved, _lost = transfer_step(
             v1, c1, v2, c2, self.conv1, st.transfer, dt, st.cap2_v_max
         )
         self.v1 = v1
@@ -597,6 +757,15 @@ class Engine:
         led.e_stored_delta = (
             0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - self._e0
         )
+        counts = self.counters
+        if state.cycle:
+            counts.fine_cycle += 1
+        elif state.fine:
+            counts.fine_check += 1
+        elif self.conv1.running or moved > 0.0:
+            counts.coarse_pump += 1
+        else:
+            counts.coarse_quiet += 1
         led.check()
         if self._trace is not None:
             self._trace.write(_TRACE_ROW(
@@ -642,6 +811,7 @@ class Engine:
             go_threshold=self.go_threshold,
             ledger=self.ledger,
             stop_reason=stop_reason,
+            counters=self.counters,
         )
 
 

@@ -197,6 +197,20 @@ def test_hot_scenario_trace_bytes_are_pinned(tmp_path):
     )
 
 
+def test_counters_count_every_step_by_regime(tmp_path):
+    """A trace has one row per integrator step, so the regime counts add up
+    to its rows: the 10 s check is 10,000 fine steps at 1 ms, the cycle
+    8,001, and an untraced run counts the same."""
+    trace = tmp_path / "hot.csv"
+    counts = run_scenario(_hot_scenario(), str(trace)).counters
+    rows = trace.read_bytes().count(b"\n") - 1
+    steps = counts.coarse_quiet + counts.coarse_pump + counts.fine_check + counts.fine_cycle
+    assert steps == rows
+    assert (counts.fine_check, counts.fine_cycle, counts.windows) == (10000, 8001, 1)
+    assert counts.coarse_pump > 0 and counts.quiet_calls > 0
+    assert run_scenario(_hot_scenario()).counters == counts
+
+
 def test_cycle_invariants_stepwise():
     eng = Engine(_hot_scenario())
     t_end = eng.scenario.engine.t_end
@@ -370,15 +384,21 @@ def _run_single_steps(scn: Scenario) -> tuple:
     return (
         eng.time_to_first_tx, eng.transmissions, eng.aborted_cycles, eng.t,
         eng.sm.state.value, eng.v1, eng.v2, eng.go_threshold, stop_reason, vars(eng.ledger),
+        _step_counts(eng.counters),
     )
 
 
-def _stretched_run(scn: Scenario) -> tuple:
-    res = run_scenario(scn)
+def _step_counts(counters) -> dict:
+    """The counters both ways of stepping share: steps per regime, windows."""
+    return {k: v for k, v in vars(counters).items() if k != "quiet_calls"}
+
+
+def _stretched_run(scn: Scenario, trace_path=None) -> tuple:
+    res = run_scenario(scn, trace_path)
     return (
         res.time_to_first_transmission, res.transmissions, res.aborted_cycles, res.t_final,
         res.state_final, res.v_cap1, res.v_cap2, res.go_threshold, res.stop_reason,
-        vars(res.ledger),
+        vars(res.ledger), _step_counts(res.counters),
     )
 
 
@@ -399,11 +419,14 @@ def _oracle_scenarios():
 
 
 @pytest.mark.parametrize("scn", _oracle_scenarios())
-def test_stretches_match_single_steps_bit_for_bit(scn):
-    """Differential oracle: run() with coarse stretches against the same
-    scenario stepped one single-rule step per call; every result and ledger
-    field agrees bit for bit (repr tells -0.0 from 0.0)."""
-    assert repr(_stretched_run(scn)) == repr(_run_single_steps(scn))
+def test_stretches_match_single_steps_bit_for_bit(scn, tmp_path):
+    """Differential oracle: run() with coarse stretches, with and without a
+    trace file, against the same scenario stepped one single-rule step per
+    call; every result and ledger field and the step count of every regime
+    agree bit for bit (repr tells -0.0 from 0.0)."""
+    single = repr(_run_single_steps(scn))
+    assert repr(_stretched_run(scn)) == single
+    assert repr(_stretched_run(scn, str(tmp_path / "trace.csv"))) == single
 
 
 def _step_until(eng: Engine, done) -> Engine:
@@ -449,3 +472,125 @@ def test_step_rejects_a_long_dt_that_was_not_offered(setup):
     with pytest.raises(QuantityError, match="not the stretch"):
         eng.step(dt)
     assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger))) == before
+
+
+def _at_a_window_end():
+    """t = 37 s under a 37.3 s dwell: the single step left is 0.3 s."""
+    scn = replace(_hot_scenario(), source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4))
+    eng = _step_until(Engine(scn), lambda e: e.t >= 37.0)
+    assert eng.t == 37.0 and eng._substep_dt() == pytest.approx(0.3)
+    return eng, 1.0
+
+
+def _in_a_check():
+    """A coarse step asked for in a check, whose length counts fine steps."""
+    eng = _step_until(
+        Engine(_hot_scenario(max_tx=None, t_end=5000.0)),
+        lambda e: e.sm.state is NodeState.CHECK,
+    )
+    return eng, 1.0
+
+
+@pytest.mark.parametrize("setup", [_at_a_window_end, _in_a_check],
+                         ids=["across_a_window_end", "coarse_in_a_check"])
+def test_step_rejects_a_short_dt_the_single_step_rule_does_not_take(setup):
+    """Up to dt_coarse, step() takes at most the single-step rule's dt, and
+    in a check or cycle exactly it; anything else raises before the engine
+    moves, and the rule's own step still goes through."""
+    eng, dt = setup()
+    before = repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm))
+    with pytest.raises(QuantityError, match="single-step rule"):
+        eng.step(dt)
+    assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm)) == before
+    eng.step(eng._substep_dt())
+
+
+def _crossing_cases():
+    """One scenario per event that ends a quiet loop or changes its
+    charging law, each due inside the first coarse stretch."""
+    quiet = Scenario(  # no pump and no loads: every step is quiet but a clamp
+        source=ConstantSource(level_dbm=-25.0),
+        frontend=_frontend(),
+        storage=_storage(conv1_on=False),
+        management=ManagementConfig(loads_enabled=False),
+        engine=EngineConfig(t_end=600.0),
+    )
+    sleeping = Scenario(  # powers up, then sleeps below v_min_operate
+        source=ConstantSource(level_dbm=-40.0),
+        frontend=_frontend(),
+        storage=replace(_storage(conv1_on=False),
+                        cap2=Supercap(c=0.01, v=1.801, r_leak=2e7, name="cap2")),
+        management=ManagementConfig(monitor=MonitorConfig(wake_period=3600.0)),
+        engine=EngineConfig(t_end=600.0),
+    )
+    fe = quiet.frontend
+    p_del = dbm_to_watts(-25.0) * (1.0 - fe.reflection.gamma_sq)
+    out = chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del)
+    v_oc = out.v_oc
+
+    def caps(cap1=None, cap2=None):
+        st = quiet.storage
+        return replace(quiet, storage=replace(st, cap1=cap1 or st.cap1, cap2=cap2 or st.cap2))
+
+    leaking = caps(cap1=Supercap(c=0.1, v=v_oc + 0.3, r_leak=1e3, name="cap1"))
+    # dt / (c1 r_out) = 2.5 charges past v_oc in one step, and from there
+    # dt / (c1 r_leak) = 1.1 leaks a little below 0 V in the next
+    c1 = 1.0 / (2.5 * out.r_out)
+    ringing = caps(cap1=Supercap(c=c1, v=0.0, r_leak=1.0 / (1.1 * c1), name="cap1"))
+    # dt / (c2 r2) = 2: the first step drains the reservoir to -0.5 V
+    draining = caps(cap2=Supercap(c=0.1, v=0.5, r_leak=5.0, name="cap2"))
+    return [
+        pytest.param(_hot_scenario(), lambda a, b: b[2] > 0.0, id="pump_start_v"),
+        pytest.param(sleeping, lambda a, b: a[3] == "Sleep" and b[3] == "Cold", id="brown_out"),
+        pytest.param(leaking, lambda a, b: a[1] >= v_oc > b[1], id="v_oc_from_above"),
+        pytest.param(ringing, lambda a, b: a[1] > 0.0 == b[1], id="cap1_clamps_at_0V"),
+        pytest.param(draining, lambda a, b: a[2] > 0.0 == b[2], id="cap2_clamps_at_0V"),
+    ]
+
+
+def _first_event(rows, event) -> float:
+    """End time of the first step whose (before, after) rows show the event."""
+    return next(b[0] for a, b in zip(rows, rows[1:]) if event(a, b))
+
+
+@pytest.mark.parametrize("scn, event", _crossing_cases())
+def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_path, scn, event):
+    """The pump reaching its start voltage, a sleeping monitor browning out,
+    the harvest cap leaking below v_oc and either cap clamping at 0 V fall
+    inside an offered stretch on the same step as when stepping one
+    single-rule step per call, with and without a trace file (rows are t,
+    v_cap1, v_cap2 and the state after each step)."""
+    eng = Engine(scn)
+    rows = [(eng.t, eng.v1, eng.v2, eng.sm.state.value)]
+    while eng.t < scn.engine.t_end - 1e-12 and eng.transmissions < 1:
+        eng.step(eng._substep_dt())
+        rows.append((eng.t, eng.v1, eng.v2, eng.sm.state.value))
+    t_event = _first_event(rows, event)
+    by_t = {row[0]: row for row in rows}
+
+    calls = []
+    step = Engine.step
+
+    def recording_step(eng, dt):
+        calls.append((eng.t, dt))
+        step(eng, dt)
+
+    monkeypatch.setattr(Engine, "step", recording_step)
+    # untraced runs that end on the step before the event, on it and after
+    for t_end in (t_event - 1.0, t_event, t_event + 1.0):
+        if t_end > 0.0:
+            calls.clear()
+            res = run_scenario(replace(scn, engine=replace(scn.engine, t_end=t_end)))
+            assert repr((res.t_final, res.v_cap1, res.v_cap2, res.state_final)) == repr(
+                by_t[t_end]
+            )
+    assert calls[0] == (0.0, t_event + 1.0)  # one stretch through the event
+    # a traced run writes the event's row on the same step
+    trace = tmp_path / "trace.csv"
+    run_scenario(scn, str(trace))
+    traced = [
+        (float(r[0]), float(r[2]), float(r[3]), r[4])
+        for r in (line.split(",") for line in trace.read_text().splitlines()[1:])
+    ]
+    first = (0.0, scn.storage.cap1.v, scn.storage.cap2.v, "Cold")
+    assert _first_event([first] + traced, event) == float(f"{t_event:.6f}")
