@@ -235,6 +235,22 @@ def test_run_maps_ledger_error_to_consistency_exit(capsys, monkeypatch):
     assert "consistency error: energy balance off by 1 J" in err
 
 
+def test_run_precharged_powerless_month_closes_the_ledger(tmp_path, capsys):
+    """A 484 J reservoir drained for 30 days with nothing harvested: the
+    float rounding of 3.1 M steps of accounting is no ledger violation."""
+    scn = _write(tmp_path, "precharged.scenario", (
+        "[source]\ntype = constant\nlevel_dbm = -70.0\n\n"
+        "[storage]\ncap2_c_f = 50\ncap2_v0 = 4.4\n\n"
+        "[management]\nwake_period_s = 86400\n\n"
+        "[engine]\nt_end_s = 2592000\n"
+    ))
+    code, out, err = _run(capsys, ["run", scn])
+    assert (code, err) == (0, "")
+    assert "stop reason: t_end" in out
+    assert re.search(r"^harvested:\s+0 J$", out, re.MULTILINE)
+    assert "== Energy ledger ==" in out and "residual:" in out
+
+
 # -- sweep ------------------------------------------------------------------
 
 def test_sweep_writes_one_csv_row_per_value(tmp_path, capsys):

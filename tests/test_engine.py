@@ -22,7 +22,8 @@ from rfharvest.engine import (
     StorageConfig,
     run_scenario,
 )
-from rfharvest.errors import QuantityError, ScenarioError, TraceError
+from rfharvest import engine as engine_module
+from rfharvest.errors import LedgerError, QuantityError, ScenarioError, TraceError
 from rfharvest.power_mgmt import MonitorConfig, NodeState
 from rfharvest.quantities import dbm_to_watts
 from rfharvest.rf_environment import ConstantSource, FluctuatingSource, TraceSource
@@ -335,6 +336,16 @@ def _trace_cycle():
     )
 
 
+def _dwell_cycle():
+    """The hot scenario under a 37.3 s dwell: window ends fall between
+    coarse steps."""
+    return replace(_hot_scenario(), source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4))
+
+
+def _with_dt_coarse(scn: Scenario, dt: float) -> Scenario:
+    return replace(scn, engine=replace(scn.engine, dt_coarse=dt))
+
+
 def _contract_scenarios():
     hot = replace(_hot_scenario(), frontend=_frontend(gamma=0.5))
     return [
@@ -411,11 +422,18 @@ def _oracle_scenarios():
     ideal = apply_override(
         parse_scenario(read_builtin_scenario("paper_ideal")), "engine.t_end_s", "86400"
     ).scenario
+    # Coarse steps other than 1 s: 0.7 s stretches end on a window with a
+    # short step.
+    other_dt = [
+        pytest.param(_with_dt_coarse(make(), dt), id=f"{make.__name__[1:]}_dt{dt}")
+        for make in (_trace_cycle, _thevenin_fill, _dwell_cycle)
+        for dt in (0.5, 0.7)
+    ]
     return [pytest.param(drawn[i], id=f"random{i}") for i in range(0, 100, 5)] + [
         pytest.param(ideal, id="paper_ideal_1d"),
         pytest.param(_trace_cycle(), id="trace_cycle"),
         pytest.param(_thevenin_fill(), id="thevenin_fill"),
-    ]
+    ] + other_dt
 
 
 @pytest.mark.parametrize("scn", _oracle_scenarios())
@@ -427,6 +445,37 @@ def test_stretches_match_single_steps_bit_for_bit(scn, tmp_path):
     single = repr(_run_single_steps(scn))
     assert repr(_stretched_run(scn)) == single
     assert repr(_stretched_run(scn, str(tmp_path / "trace.csv"))) == single
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_ledger_guard_fires_inside_a_quiet_stretch(monkeypatch, tmp_path, traced):
+    """A 1 mJ hole in the ledger, there from the start, aborts the run in
+    its first step() call, a quiet stretch, with and without a trace file;
+    the trace file is closed on the way out."""
+    eng = Engine(_thevenin_fill())
+    eng._e0 += 1e-3
+    calls = []
+    step = Engine.step
+
+    def recording_step(eng, dt):
+        calls.append(dt)
+        step(eng, dt)
+
+    monkeypatch.setattr(Engine, "step", recording_step)
+    monkeypatch.setattr(Engine, "_step_one", lambda eng, dt: pytest.fail("left the quiet loop"))
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(engine_module, "open", recording_open, raising=False)
+    trace = str(tmp_path / "trace.csv") if traced else None
+    with pytest.raises(LedgerError, match="exceeds tolerance"):
+        eng.run(trace)
+    assert len(calls) == 1 and calls[0] > eng.scenario.engine.dt_coarse
+    assert len(files) == traced and all(fh.closed for fh in files)
+    assert eng._trace is None
 
 
 def _step_until(eng: Engine, done) -> Engine:
@@ -476,8 +525,7 @@ def test_step_rejects_a_long_dt_that_was_not_offered(setup):
 
 def _at_a_window_end():
     """t = 37 s under a 37.3 s dwell: the single step left is 0.3 s."""
-    scn = replace(_hot_scenario(), source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4))
-    eng = _step_until(Engine(scn), lambda e: e.t >= 37.0)
+    eng = _step_until(Engine(_dwell_cycle()), lambda e: e.t >= 37.0)
     assert eng.t == 37.0 and eng._substep_dt() == pytest.approx(0.3)
     return eng, 1.0
 
