@@ -6,12 +6,11 @@ monitor / controller loads, advancing with a coarse step while the node
 is Cold or Sleep and a fine step during checks and cycles.  Coarse steps
 come in stretches: one step() call takes every coarse step up to the next
 window end, wake-up or stop condition.  The quiet ones (monitor and pump
-idle) run in one loop over local variables with the per-step arithmetic
-in the per-step order, so results are bit for bit those of one step per
-call.  For 1 s steps in a run without a trace file that loop leaves out
-the products with dt, which are exact, and the ledger guard checks it at
-its end; other steps, and every step of a run that writes a trace, go
-through a loop that checks the ledger and writes the row after each step.
+idle, neither cap clamping at 0 V) run in one loop over local variables
+with the per-step arithmetic in the per-step order, so results are bit for
+bit those of one step per call, for any dt_coarse and with or without a
+trace file.  The loop writes a trace row after each step and runs the
+ledger guard once, at its end.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -391,11 +390,10 @@ class Engine:
         (_substep_dt) and in a check or cycle exactly it.  A longer dt must
         be the coarse stretch _pick_dt just offered at this t.  Any other dt
         raises before anything moves.  A stretch's steps are sized by the
-        single-step rule; the quiet ones are taken by _quiet_seconds when
-        they last 1 s and no trace file is open, else by _quiet_steps, and
-        the rest by _step_one.  A stretch crosses no window end and reaches
-        no check, so it advances exactly dt (up to the rounding of the
-        clock) at one source level.
+        single-step rule; the quiet ones are taken by _quiet, the rest by
+        _step_one.  A stretch crosses no window end and reaches no check,
+        so it advances exactly dt (up to the rounding of the clock) at one
+        source level.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
@@ -417,152 +415,27 @@ class Engine:
                 f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
                 f"_pick_dt offered at t = {self.t!r}"
             )
-        untraced = self._trace is None
         left = offer[2]
         while left > 0:
             sub = self._substep_dt()
-            n = left if sub == dtc else 1
-            if untraced and sub == 1.0:
-                done = self._quiet_seconds(n)
-            else:
-                done = self._quiet_steps(n, sub)
+            done = self._quiet(left if sub == dtc else 1, sub)
             if not done:
                 self._step_one(sub)
                 done = 1
             left -= done
 
-    def _quiet_steps(self, n: int, dt: float) -> int:
+    def _quiet(self, n: int, dt: float) -> int:
         """Take up to n quiet steps of dt in one loop over local variables;
         return how many were taken (0: the next step is not quiet).
 
         The caller guarantees Cold or Sleep.  A step is quiet when the
-        monitor keeps its state and the pump cannot act.  After the first
-        step the loop goes on only while the single-step rule would take a
-        full coarse step.  The arithmetic is _step_one's, cap_euler inlined,
-        in the same order, so the results are bit for bit the same.  This
-        is the loop for steps of any length and for runs that write a
-        trace: it writes a row and checks the ledger after every step.
-        """
-        sc = self.scenario
-        st = sc.storage
-        mg = sc.management
-        sm = self.sm
-        pump_watch = st.conv1.enabled
-        if pump_watch and self.conv1.running:
-            return 0
-        t = self.t
-        bound = min(self._window_until, sc.engine.t_end)
-        # Quiet while lo <= v2 < hi: Cold stays dead, Sleep stays alive.
-        i_mon, lo, hi = 0.0, -math.inf, math.inf
-        if mg.loads_enabled:
-            if sm.state is NodeState.SLEEP:
-                if t >= sm.next_wake:
-                    return 0
-                bound = min(bound, sm.next_wake)
-                i_mon, lo = mg.monitor.i_sleep, mg.monitor.v_min_operate
-            else:
-                hi = mg.monitor.v_min_operate
-        dtc = sc.engine.dt_coarse
-        start_v = st.transfer.start_v
-        c1, c2, r1, r2, e0 = self.c1, self.c2, self.r1, self.r2, self._e0
-        thevenin = sc.frontend.coupling == COUPLING_THEVENIN
-        v_oc, r_out = self._v_oc, self._r_out
-        e_in = self._p_ideal * dt
-        grow = 2.0 * e_in / c1
-        e_front = 0.0 if thevenin else self._p_del * dt - e_in
-        e_refl = (self._p_avail - self._p_del) * dt
-        sqrt = math.sqrt
-        trace = self._trace
-        dbm, label = self._window_dbm, sm.state.value
-        led = self.ledger
-        harvested, leaked, conv_loss = led.e_harvested, led.e_leaked, led.e_converter_loss
-        reflected, load_total = led.e_reflected, led.e_load_total
-        by = led.e_load_by_component
-        e_sleep = by.get("monitor_sleep", 0.0)
-        v1, v2 = self.v1, self.v2
-        k = 0
-        while lo <= v2 < hi:
-            e1_before = 0.5 * c1 * v1 * v1
-            if thevenin:
-                head = v_oc - v1
-                i_chg = head / r_out if head > 0.0 else 0.0
-                u = v1
-            else:
-                i_chg = 0.0
-                u = sqrt(v1 * v1 + grow) if e_in > 0.0 else v1
-            i_leak = u / r1
-            v1n = u + (i_chg - i_leak) * dt / c1
-            if v1n < 0.0:
-                v1n = 0.0
-            v_mid = 0.5 * (u + v1n)
-            leaked1 = i_leak * v_mid * dt
-            if v1n == 0.0:
-                leaked1 = min(leaked1, 0.5 * c1 * u * u + (i_chg if i_chg > 0.0 else 0.0) * v_mid * dt)
-            if pump_watch and v1n >= start_v:
-                break
-            harvested += (0.5 * c1 * v1n * v1n - e1_before) + leaked1 + e_front
-            conv_loss += e_front
-            leaked += leaked1
-            reflected += e_refl
-            v1 = v1n
-
-            e2_before = 0.5 * c2 * v2 * v2
-            i_leak = v2 / r2
-            v2n = v2 + (-i_mon - i_leak) * dt / c2
-            if v2n < 0.0:
-                v2n = 0.0
-            leaked2 = i_leak * (0.5 * (v2 + v2n)) * dt
-            if v2n == 0.0:
-                leaked2 = min(leaked2, e2_before)
-            leaked += leaked2
-            if i_mon > 0.0:
-                mon_share = i_mon * 0.5 * (v2 + v2n) * dt
-                if mon_share > 0.0:
-                    e_sleep += mon_share
-                    load_total += mon_share
-                    extra = (e2_before - 0.5 * c2 * v2n * v2n - leaked2) - mon_share
-                    if extra != 0.0:
-                        e_sleep += extra
-                        load_total += extra
-            v2 = v2n
-
-            t = t + dt
-            stored = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - e0
-            res = harvested - leaked - conv_loss - load_total - stored
-            tol = LEDGER_REL_TOL * harvested
-            k += 1
-            if abs(res) > (tol if tol >= LEDGER_ABS_FLOOR else LEDGER_ABS_FLOOR):
-                break  # led.check() below raises with the message
-            if trace is not None:
-                trace.write(_TRACE_ROW(
-                    t, dbm, v1, v2, label, harvested, conv_loss + load_total, leaked
-                ))
-            if k == n or bound - t < dtc:
-                break
-        if k:
-            self.t, self.v1, self.v2 = t, v1, v2
-            led.e_harvested, led.e_leaked, led.e_converter_loss = harvested, leaked, conv_loss
-            led.e_reflected, led.e_load_total, led.e_stored_delta = reflected, load_total, stored
-            if e_sleep or "monitor_sleep" in by:
-                by["monitor_sleep"] = e_sleep
-            self.counters.coarse_quiet += k
-            self.counters.quiet_calls += 1
-            led.check()
-        return k
-
-    def _quiet_seconds(self, n: int) -> int:
-        """Take up to n quiet 1 s steps in one loop over local variables;
-        return how many were taken (0: the next step is not quiet).
-
-        The caller guarantees Cold or Sleep and writes no trace.  A step is
-        quiet when the monitor keeps its state, the pump cannot act and
-        neither cap clamps at 0 V; the loop stops before any other step and
-        leaves it to _step_one.  After the first step the loop goes on only
-        while the single-step rule would take a full coarse step.  The
-        arithmetic is _step_one's, cap_euler inlined, in the same order, so
-        the results are bit for bit the same: with dt = 1.0 every product
-        with dt is exact, so the loop leaves them out.  The ledger guard
-        runs once, at the end.
+        monitor keeps its state, the pump cannot act and neither cap clamps
+        at 0 V; the loop stops before any other step and leaves it to
+        _step_one.  After the first step the loop goes on only while the
+        single-step rule would take a full coarse step.  The arithmetic is
+        _step_one's, cap_euler inlined, in the same order, so the results
+        are bit for bit the same.  A run with a trace file gets its row
+        after every step; the ledger guard runs once, at the end.
         """
         sc = self.scenario
         st = sc.storage
@@ -596,12 +469,14 @@ class Engine:
         c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
         hc1, hc2 = 0.5 * c1, 0.5 * c2
         v_oc, r_out = self._v_oc, self._r_out
-        e_in = self._p_ideal
+        e_in = self._p_ideal * dt
         grow = 2.0 * e_in / c1
-        e_front = 0.0 if thevenin else self._p_del - e_in
-        e_refl = self._p_avail - self._p_del
+        e_front = 0.0 if thevenin else self._p_del * dt - e_in
+        e_refl = (self._p_avail - self._p_del) * dt
         n_mon, half_mon = -i_mon, i_mon * 0.5
         sqrt = math.sqrt
+        trace = self._trace
+        dbm, label = self._window_dbm, sm.state.value
         led = self.ledger
         harvested, leaked, conv_loss = led.e_harvested, led.e_leaked, led.e_converter_loss
         reflected, load_total = led.e_reflected, led.e_load_total
@@ -618,24 +493,24 @@ class Engine:
                 i_chg = 0.0
                 u = sqrt(v1 * v1 + grow) if e_in > 0.0 else v1
             i_leak = u / r1
-            v1n = u + (i_chg - i_leak) / c1
+            v1n = u + (i_chg - i_leak) * dt / c1
             i_leak2 = v2 / r2
-            v2n = v2 + (n_mon - i_leak2) / c2
+            v2n = v2 + (n_mon - i_leak2) * dt / c2
             if not (floor1 < v1n < watch and v2n > floor2):
                 k -= 1
                 break
-            leaked1 = i_leak * (0.5 * (u + v1n))
+            leaked1 = i_leak * (0.5 * (u + v1n)) * dt
             e1n = hc1 * v1n * v1n
             harvested += (e1n - e1) + leaked1 + e_front
             conv_loss += e_front
             leaked += leaked1
             reflected += e_refl
             v_sum = v2 + v2n
-            leaked2 = i_leak2 * (0.5 * v_sum)
+            leaked2 = i_leak2 * (0.5 * v_sum) * dt
             leaked += leaked2
             if i_mon > 0.0:
                 e2n = hc2 * v2n * v2n
-                mon_share = half_mon * v_sum
+                mon_share = half_mon * v_sum * dt
                 if mon_share > 0.0:
                     e_sleep += mon_share
                     load_total += mon_share
@@ -645,7 +520,11 @@ class Engine:
                         load_total += extra
                 e2 = e2n
             v1, v2, e1 = v1n, v2n, e1n
-            t = t + 1.0
+            t = t + dt
+            if trace is not None:
+                trace.write(_TRACE_ROW(
+                    t, dbm, v1, v2, label, harvested, conv_loss + load_total, leaked
+                ))
             if bound - t < dtc:
                 break
         if k:
