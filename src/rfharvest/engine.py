@@ -81,10 +81,10 @@ __all__ = [
 TRACE_HEADER = "t_s,p_avail_dbm,v_cap1,v_cap2,state,e_harvested_j,e_consumed_j,e_leaked_j"
 _TRACE_ROW = "{:.6f},{:.6g},{:.10g},{:.10g},{},{:.10g},{:.10g},{:.10g}\n".format
 
-#: Relative ledger tolerance; the absolute floor keeps short, nearly
-#: powerless runs from tripping on float noise.
+#: Relative ledger tolerance, a share of the energy harvested; runs that
+#: harvest little fall back on the rounding floor of EnergyLedger.tolerance.
 LEDGER_REL_TOL = 1e-6
-LEDGER_ABS_FLOOR = 1e-12
+_UNIT_ROUNDOFF = 2.0 ** -53  # binary64, round to nearest
 
 COUPLING_THEVENIN = "thevenin"
 COUPLING_IDEAL = "ideal"
@@ -180,6 +180,8 @@ class EnergyLedger:
     e_load_by_component: dict[str, float] = field(default_factory=dict)
     e_load_total: float = 0.0  # running sum of the per-component rows
     e_stored_delta: float = 0.0
+    e_initial: float = 0.0  # stored energy at t = 0, the base of e_stored_delta
+    steps: int = 0  # integrator steps booked
 
     def residual(self) -> float:
         return (
@@ -191,7 +193,24 @@ class EnergyLedger:
         )
 
     def tolerance(self) -> float:
-        return max(LEDGER_REL_TOL * self.e_harvested, LEDGER_ABS_FLOOR)
+        """LEDGER_REL_TOL of the energy harvested, or the rounding floor
+        when that is larger.
+
+        The floor bounds what float rounding alone leaves in the residual.
+        Every booking is an energy difference, or a product that also sets
+        a cap's voltage, so only roundings move the balance, each by at
+        most u = 2**-53 of the rounded value.  With e0 = e_initial and G the
+        gross throughput, a step costs at most u * 3G in its eight additions
+        to the totals and u * 2(e0 + G) in cap2's new voltage when only its
+        leak is booked; the bookings' own arithmetic and the final sums
+        cost u * (17 e0 + 35 G) over the run.  The floor grows linearly in
+        the steps, as the recursive-summation error bound does.
+        """
+        gross = (abs(self.e_harvested) + abs(self.e_leaked)
+                 + abs(self.e_converter_loss) + abs(self.e_load_total))
+        n = self.steps
+        floor = _UNIT_ROUNDOFF * ((2 * n + 17) * self.e_initial + (5 * n + 35) * gross)
+        return max(LEDGER_REL_TOL * self.e_harvested, floor)
 
     def check(self) -> None:
         r = self.residual()
@@ -279,8 +298,9 @@ class Engine:
             "check_duration", mg.monitor.check_duration, scenario.engine.dt_fine
         )
 
-        self.ledger = EnergyLedger()
-        self._e0 = 0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * self.v2 * self.v2)
+        self.ledger = EnergyLedger(
+            e_initial=0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * self.v2 * self.v2)
+        )
 
         # Source window cache: frontend output is constant within a window.
         self._window_until = -1.0
@@ -372,7 +392,7 @@ class Engine:
                 gain = i_max * (self._v_oc + 0.5 * i_max * dtc / self.c1) * dtc
             else:
                 gain = self._p_ideal * dtc
-            noise = 1e-12 * (stop + self._e0)  # rounding of the stored energy, per step
+            noise = 1e-12 * (stop + self.ledger.e_initial)  # rounding of the stored energy, per step
             room = stop - self.ledger.e_stored_delta - noise
             span = min(span, room / (gain + noise) * dtc)
         n = math.floor(span / dtc)
@@ -531,7 +551,8 @@ class Engine:
             self.t, self.v1, self.v2 = t, v1, v2
             led.e_harvested, led.e_leaked, led.e_converter_loss = harvested, leaked, conv_loss
             led.e_reflected, led.e_load_total = reflected, load_total
-            led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - self._e0
+            led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - led.e_initial
+            led.steps += k
             if e_sleep or "monitor_sleep" in by:
                 by["monitor_sleep"] = e_sleep
             self.counters.coarse_quiet += k
@@ -634,8 +655,9 @@ class Engine:
 
         self.t = t + dt
         led.e_stored_delta = (
-            0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - self._e0
+            0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - led.e_initial
         )
+        led.steps += 1
         counts = self.counters
         if state.cycle:
             counts.fine_cycle += 1

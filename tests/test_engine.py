@@ -453,7 +453,7 @@ def test_ledger_guard_fires_inside_a_quiet_stretch(monkeypatch, tmp_path, traced
     its first step() call, a quiet stretch, with and without a trace file;
     the trace file is closed on the way out."""
     eng = Engine(_thevenin_fill())
-    eng._e0 += 1e-3
+    eng.ledger.e_initial += 1e-3
     calls = []
     step = Engine.step
 
