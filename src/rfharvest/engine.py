@@ -10,7 +10,8 @@ idle, neither cap clamping at 0 V) run in one loop over local variables
 with the per-step arithmetic in the per-step order, so results are bit for
 bit those of one step per call, for any dt_coarse and with or without a
 trace file.  The loop writes a trace row after each step and runs the
-ledger guard once, at its end.
+ledger guard once, at its end, so the trace of a run the guard aborts may
+hold rows up to the end of that loop.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
