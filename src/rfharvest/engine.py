@@ -82,10 +82,8 @@ __all__ = [
 TRACE_HEADER = "t_s,p_avail_dbm,v_cap1,v_cap2,state,e_harvested_j,e_consumed_j,e_leaked_j"
 _TRACE_ROW = "{:.6f},{:.6g},{:.10g},{:.10g},{},{:.10g},{:.10g},{:.10g}\n".format
 
-#: Relative ledger tolerance, a share of the energy harvested; runs that
-#: harvest little fall back on the rounding floor of EnergyLedger.tolerance.
+#: Ledger tolerance as a share of the energy harvested (see EnergyLedger.tolerance).
 LEDGER_REL_TOL = 1e-6
-_UNIT_ROUNDOFF = 2.0 ** -53  # binary64, round to nearest
 
 COUPLING_THEVENIN = "thevenin"
 COUPLING_IDEAL = "ideal"
@@ -197,20 +195,19 @@ class EnergyLedger:
         """LEDGER_REL_TOL of the energy harvested, or the rounding floor
         when that is larger.
 
-        The floor bounds what float rounding alone leaves in the residual.
-        Every booking is an energy difference, or a product that also sets
+        Every booking is an energy difference or a product that also sets
         a cap's voltage, so only roundings move the balance, each by at
-        most u = 2**-53 of the rounded value.  With e0 = e_initial and G the
-        gross throughput, a step costs at most u * 3G in its eight additions
-        to the totals and u * 2(e0 + G) in cap2's new voltage when only its
-        leak is booked; the bookings' own arithmetic and the final sums
-        cost u * (17 e0 + 35 G) over the run.  The floor grows linearly in
-        the steps, as the recursive-summation error bound does.
+        most u = 2**-53 of the rounded value.  Per step, the eight sums
+        into the totals cost at most u * 3G, and cap2's rounded voltage,
+        unbooked when only its leak drains it, u * 2(e0 + G); the
+        bookings' own arithmetic and the final sums add u * (17 e0 + 35 G)
+        (e0 = e_initial, G the gross throughput).  Like the recursive-
+        summation bound, the floor grows linearly in the steps.
         """
         gross = (abs(self.e_harvested) + abs(self.e_leaked)
                  + abs(self.e_converter_loss) + abs(self.e_load_total))
         n = self.steps
-        floor = _UNIT_ROUNDOFF * ((2 * n + 17) * self.e_initial + (5 * n + 35) * gross)
+        floor = 2.0 ** -53 * ((2 * n + 17) * self.e_initial + (5 * n + 35) * gross)
         return max(LEDGER_REL_TOL * self.e_harvested, floor)
 
     def check(self) -> None:
@@ -393,7 +390,7 @@ class Engine:
                 gain = i_max * (self._v_oc + 0.5 * i_max * dtc / self.c1) * dtc
             else:
                 gain = self._p_ideal * dtc
-            noise = 1e-12 * (stop + self.ledger.e_initial)  # rounding of the stored energy, per step
+            noise = 1e-12 * (stop + self.ledger.e_initial)  # stored-energy rounding a step
             room = stop - self.ledger.e_stored_delta - noise
             span = min(span, room / (gain + noise) * dtc)
         n = math.floor(span / dtc)
