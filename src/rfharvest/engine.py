@@ -5,13 +5,16 @@ tank -> rectifier -> harvest cap -> charge pump -> reservoir cap ->
 monitor / controller loads, advancing with a coarse step while the node
 is Cold or Sleep and a fine step during checks and cycles.  Coarse steps
 come in stretches: one step() call takes every coarse step up to the next
-window end, wake-up or stop condition.  The quiet ones (monitor and pump
-idle, neither cap clamping at 0 V) run in one loop over local variables
-with the per-step arithmetic in the per-step order, so results are bit for
-bit those of one step per call, for any dt_coarse and with or without a
-trace file.  The loop writes a trace row after each step and runs the
-ledger guard once, at its end, so the trace of a run the guard aborts may
-hold rows up to the end of that loop.
+window end, wake-up or stop condition.  A run of quiet ones (monitor and
+pump idle, neither cap clamping at 0 V) is one closed-form macro-step:
+inside a window each cap's Euler step is affine, v <- a v + b, so k steps
+and the ledger's sums over them are geometric.  The model is the per-step
+one; only rounding moves, within 1e-9 of stepping one step per call, and
+events land on the same step.  Traced and untraced runs take the same
+macro-steps; a traced one also writes a row per step, read from the same
+law, and the state never depends on it.  The ledger guard runs once per
+macro-step, so the trace of a run the guard aborts may hold rows up to the
+end of that macro-step.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -202,7 +205,10 @@ class EnergyLedger:
         unbooked when only its leak drains it, u * 2(e0 + G); the
         bookings' own arithmetic and the final sums add u * (17 e0 + 35 G)
         (e0 = e_initial, G the gross throughput).  Like the recursive-
-        summation bound, the floor grows linearly in the steps.
+        summation bound, the floor grows linearly in the steps.  A
+        macro-step of k steps books closed-form sums instead; against exact
+        arithmetic they err by tens of u of what they sum, far inside the
+        k steps' share.
         """
         gross = (abs(self.e_harvested) + abs(self.e_leaked)
                  + abs(self.e_converter_loss) + abs(self.e_load_total))
@@ -233,7 +239,7 @@ class RunCounters:
     fine_check: int = 0
     fine_cycle: int = 0
     windows: int = 0  # source windows sampled, one frontend solve each
-    quiet_calls: int = 0  # runs of quiet steps taken in one loop
+    quiet_calls: int = 0  # closed-form macro-steps taken
 
 
 @dataclass
@@ -249,6 +255,87 @@ class SimResult:
     ledger: EnergyLedger
     stop_reason: str
     counters: RunCounters
+
+
+def _affine(x: float, b: float, y0: float, k: int) -> tuple[float, float, float]:
+    """k steps of y <- (1 - x) y + b from y0 in closed form: y_k and the
+    sums of y_j and of y_j**2 over j < k.
+
+    With a = 1 - x and s_j = a**0 + ... + a**(j-1), y_j = y0 + (b - x y0) s_j.
+    For x k < 1/2 the sums m1 = sum s_j and m2 = sum s_j**2 come from their
+    binomial series in x, finite and exact at x = 0 (no leak, a == 1); above
+    that from a**k = exp(k log1p(-x)), where the differences no longer cancel.
+    """
+    if y0 == 0.0 and b == 0.0:
+        return 0.0, 0.0, 0.0
+    if x * k < 0.5:
+        c2 = 0.5 * k * (k - 1)
+        r = term = c2 * (k - 2) / 3.0  # r = (c2 - m1) / x = sum (-x)**i C(k, i + 3)
+        tiny = 1e-17 * r
+        i = 3
+        while term > tiny or term < -tiny:
+            term *= -x * (k - i) / (i + 1)
+            r += term
+            i += 1
+        m1 = c2 - x * r
+        m2 = ((2 * k - 2) * c2 - 2.0 * r + x * (2 * (1 - k) * r - c2 * c2)
+              + x * x * r * (2.0 * c2 - x * r)) / (2.0 - x)
+        d = b - x * y0
+        return y0 + d * (k - x * m1), k * y0 + d * m1, y0 * (k * y0 + 2.0 * d * m1) + d * d * m2
+    ln_a = math.log1p(-x)
+    s = -math.expm1(k * ln_a) / x
+    s2 = -math.expm1(2 * k * ln_a) / (x * (2.0 - x))  # sum a**2j
+    return (
+        math.exp(k * ln_a) * y0 + b * s,
+        y0 * s + b * (k - s) / x,
+        y0 * (y0 * s2 + 2.0 * b * (s - s2) / x) + b * b * (k - 2.0 * s + s2) / (x * x),
+    )
+
+
+def _first_hit(x: float, b: float, y0: float, k: int, c: float, hit) -> int:
+    """The first j in 1..k for which hit(y_j) holds, y_j as _affine gives
+    it, given that hit(y_k) does.  y_j is monotone in j: a log and a ceil
+    place the crossing of c, and it is checked at j - 1 and j."""
+    d = b - x * y0
+    if d == 0.0:
+        j = k
+    elif x > 0.0:  # a**j = 1 + x (y0 - c) / d
+        arg = x * (y0 - c) / d
+        j = math.log1p(arg) / math.log1p(-x) if arg > -1.0 else k
+    else:
+        j = (c - y0) / d
+    j = math.ceil(j) if 1.0 <= j < k else (1 if j < 1.0 else k)
+    while j > 1 and hit(_affine(x, b, y0, j - 1)[0]):
+        j -= 1
+    while not hit(_affine(x, b, y0, j)[0]):
+        j += 1
+    return j
+
+
+def _exact_clock(t: float, dt: float, n: int) -> bool:
+    """Whether t + j dt is exact for every j <= n: all of them are
+    multiples of the finer grid of t and dt, below 2**53 of its units."""
+    return (t + n * dt) * max(t.as_integer_ratio()[1], dt.as_integer_ratio()[1]) < 2.0 ** 53
+
+
+def _clock(t: float, dt: float, k: int, exact: bool) -> float:
+    """t after k steps of dt, rounded as adding dt k times rounds it."""
+    if exact:
+        return t + k * dt
+    for _ in range(k):
+        t += dt
+    return t
+
+
+def _bound_steps(t: float, dt: float, n: int, bound: float, dtc: float, exact: bool) -> int:
+    """Steps of dt from t, at most n, up to the first after which less than
+    a coarse step is left before bound."""
+    j = min(n, max(1, math.floor((bound - dtc - t) / dt) + 1))
+    while j > 1 and bound - _clock(t, dt, j - 1, exact) < dtc:
+        j -= 1
+    while j < n and not bound - _clock(t, dt, j, exact) < dtc:
+        j += 1
+    return j
 
 
 class Engine:
@@ -408,10 +495,10 @@ class Engine:
         (_substep_dt) and in a check or cycle exactly it.  A longer dt must
         be the coarse stretch _pick_dt just offered at this t.  Any other dt
         raises before anything moves.  A stretch's steps are sized by the
-        single-step rule; the quiet ones are taken by _quiet, the rest by
-        _step_one.  A stretch crosses no window end and reaches no check,
-        so it advances exactly dt (up to the rounding of the clock) at one
-        source level.
+        single-step rule; runs of quiet ones are closed-form macro-steps
+        (_quiet), the rest go to _step_one.  A stretch crosses no window end
+        and reaches no check, so it advances exactly dt (up to the rounding
+        of the clock) at one source level.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
@@ -443,17 +530,23 @@ class Engine:
             left -= done
 
     def _quiet(self, n: int, dt: float) -> int:
-        """Take up to n quiet steps of dt in one loop over local variables;
-        return how many were taken (0: the next step is not quiet).
+        """Take up to n quiet steps of dt as one closed-form macro-step;
+        return how many were taken (0: the next step goes to _step_one).
 
         The caller guarantees Cold or Sleep.  A step is quiet when the
         monitor keeps its state, the pump cannot act and neither cap clamps
-        at 0 V; the loop stops before any other step and leaves it to
-        _step_one.  After the first step the loop goes on only while the
-        single-step rule would take a full coarse step.  The arithmetic is
-        _step_one's, cap_euler inlined, in the same order, so the results
-        are bit for bit the same.  A run with a trace file gets its row
-        after every step; the ledger guard runs once, at the end.
+        at 0 V.  Within one window each cap then follows v <- a v + b, the
+        Euler step of _step_one: cap1 charges through the Thevenin pair
+        while v1 < v_oc and only leaks at or above it (under ideal coupling
+        v1**2 follows the law), cap2 leaks and feeds a sleeping monitor.
+        _affine gives the state after k steps and the sums the ledger books.
+        _bound_steps ends the macro-step where the single-step rule would
+        cut a step short, and _first_hit where cap2 would brown the sleeping
+        monitor out or cap1 reach the pump's start_v; it also finds the step
+        that takes cap1 below v_oc, where its law switches.  A law with
+        a <= 0 could ring through 0 V, so its steps go to _step_one.  A run
+        with a trace file gets a row per step, read from the same laws; the
+        state never depends on it.  The ledger guard runs once, at the end.
         """
         sc = self.scenario
         st = sc.storage
@@ -462,101 +555,152 @@ class Engine:
         pump_watch = st.conv1.enabled
         if pump_watch and self.conv1.running:
             return 0
-        t = self.t
+        t0 = self.t
         v1, v2 = self.v1, self.v2
         bound = min(self._window_until, sc.engine.t_end)
-        # Each step must land above floor1 and floor2: at 0 V a cap clamps,
-        # below v_min_operate a sleeping monitor browns out.  An empty cap
-        # that nothing charges or drains stays at exactly 0.0.
-        thevenin = sc.frontend.coupling == COUPLING_THEVENIN
-        fed = self._v_oc > 0.0 if thevenin else self._p_ideal > 0.0
-        floor1 = -1.0 if v1 == 0.0 and not fed else 0.0
-        floor2 = -1.0 if v2 == 0.0 else 0.0
         i_mon = 0.0
         if mg.loads_enabled:
             lo = mg.monitor.v_min_operate
             if sm.state is NodeState.SLEEP:
-                if t >= sm.next_wake or not lo > 0.0 or v2 < lo:
+                if t0 >= sm.next_wake or not lo > 0.0 or v2 < lo:
                     return 0
                 bound = min(bound, sm.next_wake)
-                i_mon, floor2 = mg.monitor.i_sleep, lo
+                i_mon = mg.monitor.i_sleep
             elif v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
                 return 0
-        dtc = sc.engine.dt_coarse
-        watch = st.transfer.start_v if pump_watch else math.inf
         c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
-        hc1, hc2 = 0.5 * c1, 0.5 * c2
-        v_oc, r_out = self._v_oc, self._r_out
-        e_in = self._p_ideal * dt
-        grow = 2.0 * e_in / c1
-        e_front = 0.0 if thevenin else self._p_del * dt - e_in
-        e_refl = (self._p_avail - self._p_del) * dt
-        n_mon, half_mon = -i_mon, i_mon * 0.5
-        sqrt = math.sqrt
-        trace = self._trace
-        dbm, label = self._window_dbm, sm.state.value
-        led = self.ledger
-        harvested, leaked, conv_loss = led.e_harvested, led.e_leaked, led.e_converter_loss
-        reflected, load_total = led.e_reflected, led.e_load_total
-        by = led.e_load_by_component
-        e_sleep = by.get("monitor_sleep", 0.0)
-        e1, e2 = hc1 * v1 * v1, hc2 * v2 * v2
+        thevenin = sc.frontend.coupling == COUPLING_THEVENIN
+        v_oc = self._v_oc
+        x1 = dt / c1 / r1  # cap1's leak; r_leak = inf gives 0.0, a == 1
+        g = dt / c1 / self._r_out if thevenin else 0.0  # the Thevenin charge path
+        x2 = dt / c2 / r2
+        if not (x1 + g < 1.0 and x2 < 1.0):
+            return 0
+        b2 = -i_mon * dt / c2
+        exact = _exact_clock(t0, dt, n)
+        k = _bound_steps(t0, dt, n, bound, sc.engine.dt_coarse, exact)
+        cap2 = _affine(x2, b2, v2, k)
+        if i_mon > 0.0 and cap2[0] <= lo:  # stop before the brown-out
+            k = _first_hit(x2, b2, v2, k, lo, lo.__ge__) - 1
+            if not k:
+                return 0
+            cap2 = _affine(x2, b2, v2, k)
+        k2 = k
+        watch = st.transfer.start_v if pump_watch else math.inf
+        grow = 0.0
+        if thevenin:
+            # At or above v_oc cap1 only leaks, down to the step that takes
+            # it below v_oc; from there it charges.  Neither law crosses
+            # v_oc from below.
+            kd, leaks = 0, None
+            if v1 >= v_oc:
+                kd, leaks = k, _affine(x1, 0.0, v1, k)
+                if leaks[0] < v_oc:
+                    kd, leaks = _first_hit(x1, 0.0, v1, k, v_oc, v_oc.__gt__), None
+            laws = [(x1, 0.0, kd, leaks), (x1 + g, v_oc * g, k - kd, None)]
+            top, y = watch, v1
+        else:
+            # Ideal coupling deposits e_in, then the cap leaks: v1**2 is affine.
+            e_in = self._p_ideal * dt
+            grow = 2.0 * e_in / c1
+            a1 = (1.0 - x1) * (1.0 - x1)
+            laws = [(x1 * (2.0 - x1), a1 * grow, k, None)]
+            top, y = watch * watch, v1 * v1
+        # Take the laws' segments in turn, stopping before the first step
+        # that reaches the pump's start voltage.
         k = 0
-        for k in range(1, n + 1):
-            if thevenin:
-                head = v_oc - v1
-                i_chg = head / r_out if head > 0.0 else 0.0
-                u = v1
-            else:
-                i_chg = 0.0
-                u = sqrt(v1 * v1 + grow) if e_in > 0.0 else v1
-            i_leak = u / r1
-            v1n = u + (i_chg - i_leak) * dt / c1
-            i_leak2 = v2 / r2
-            v2n = v2 + (n_mon - i_leak2) * dt / c2
-            if not (floor1 < v1n < watch and v2n > floor2):
-                k -= 1
+        q1 = 0.0  # sum of v1_j (v1_j + v1_j+1), or under ideal coupling of v1_j**2 + grow
+        taken = []
+        for x, b, steps, out in laws:
+            if not steps:
+                continue
+            ok = steps
+            out = out or _affine(x, b, y, steps)
+            if b - x * y > 0.0:  # rising: the last step tells
+                if out[0] >= top:
+                    ok = _first_hit(x, b, y, steps, top, top.__le__) - 1
+                    out = _affine(x, b, y, ok)
+            elif y >= top and _affine(x, b, y, 1)[0] >= top:  # falling from above
+                ok = 0
+            if ok:
+                y, s, ss = out
+                q1 += (2.0 - x) * ss + b * s if thevenin else s + ok * grow
+                k += ok
+                taken.append((x, b, ok))
+            if ok < steps:
                 break
-            leaked1 = i_leak * (0.5 * (u + v1n)) * dt
-            e1n = hc1 * v1n * v1n
-            harvested += (e1n - e1) + leaked1 + e_front
-            conv_loss += e_front
-            leaked += leaked1
-            reflected += e_refl
-            v_sum = v2 + v2n
-            leaked2 = i_leak2 * (0.5 * v_sum) * dt
-            leaked += leaked2
-            if i_mon > 0.0:
-                e2n = hc2 * v2n * v2n
-                mon_share = half_mon * v_sum * dt
-                if mon_share > 0.0:
-                    e_sleep += mon_share
-                    load_total += mon_share
-                    extra = (e2 - e2n - leaked2) - mon_share
-                    if extra != 0.0:
-                        e_sleep += extra
-                        load_total += extra
-                e2 = e2n
-            v1, v2, e1 = v1n, v2n, e1n
-            t = t + dt
-            if trace is not None:
-                trace.write(_TRACE_ROW(
-                    t, dbm, v1, v2, label, harvested, conv_loss + load_total, leaked
-                ))
-            if bound - t < dtc:
-                break
-        if k:
-            self.t, self.v1, self.v2 = t, v1, v2
-            led.e_harvested, led.e_leaked, led.e_converter_loss = harvested, leaked, conv_loss
-            led.e_reflected, led.e_load_total = reflected, load_total
-            led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - led.e_initial
-            led.steps += k
-            if e_sleep or "monitor_sleep" in by:
-                by["monitor_sleep"] = e_sleep
-            self.counters.coarse_quiet += k
-            self.counters.quiet_calls += 1
-            led.check()
+        if not k:
+            return 0
+        v1k = y if thevenin else math.sqrt(y)
+        c_leak1 = 0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1)
+        leak1 = c_leak1 * q1
+        v2k, s2, ss2 = cap2 if k == k2 else _affine(x2, b2, v2, k)
+        leak2 = 0.5 * dt / r2 * ((2.0 - x2) * ss2 + b2 * s2)
+        mon = 0.5 * i_mon * dt * ((2.0 - x2) * s2 + k * b2)
+        e_front = 0.0 if thevenin else self._p_del * dt - e_in
+        t = _clock(t0, dt, k, exact)
+        led = self.ledger
+        if self._trace is not None:
+            self._trace_rows(taken, thevenin, t0, dt, v1, v2, x2, b2, i_mon, e_front,
+                             c_leak1, grow)
+        hc1 = 0.5 * c1
+        led.e_harvested += (hc1 * v1k * v1k - hc1 * v1 * v1) + leak1 + k * e_front
+        led.e_converter_loss += k * e_front
+        led.e_leaked += leak1 + leak2
+        led.e_reflected += k * ((self._p_avail - self._p_del) * dt)
+        if mon > 0.0:
+            by = led.e_load_by_component
+            by["monitor_sleep"] = by.get("monitor_sleep", 0.0) + mon
+            led.e_load_total += mon
+        self.t, self.v1, self.v2 = t, v1k, v2k
+        if self._trace is not None:
+            self._trace.write(_TRACE_ROW(
+                t, self._window_dbm, v1k, v2k, sm.state.value, led.e_harvested,
+                led.e_converter_loss + led.e_load_total, led.e_leaked,
+            ))
+        led.e_stored_delta = 0.5 * (c1 * v1k * v1k + c2 * v2k * v2k) - led.e_initial
+        led.steps += k
+        self.counters.coarse_quiet += k
+        self.counters.quiet_calls += 1
+        led.check()
         return k
+
+    def _trace_rows(self, laws, thevenin, t, dt, v1, v2, x2, b2, i_mon, e_front, c_leak1, grow):
+        """Write the rows of a macro-step's steps but its last: cap1 steps
+        through laws (under ideal coupling as v1**2), cap2 through
+        (1 - x2, b2), and the ledger columns through the same partial sums
+        the macro-step books; one multiply-add per quantity and row."""
+        led = self.ledger
+        dbm, label = self._window_dbm, self.sm.state.value
+        h0, used0, leaked0 = led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked
+        hc1 = 0.5 * self.c1
+        e10 = hc1 * v1 * v1
+        c_leak2 = 0.5 * dt / self.r2
+        c_mon = 0.5 * i_mon * dt
+        a2 = 1.0 - x2
+        y = v1 if thevenin else v1 * v1
+        q1 = q2 = p2 = 0.0
+        j = 0
+        last = sum(steps for _, _, steps in laws) - 1
+        write = self._trace.write
+        for x, b, steps in laws:
+            a = 1.0 - x
+            for _ in range(min(steps, last - j)):
+                j += 1
+                t += dt
+                yn = a * y + b
+                q1 += y * (y + yn) if thevenin else y + grow
+                y = yn
+                v1j = y if thevenin else math.sqrt(y)
+                v2n = a2 * v2 + b2
+                q2 += v2 * (v2 + v2n)
+                p2 += v2 + v2n
+                v2 = v2n
+                leak1 = c_leak1 * q1
+                write(_TRACE_ROW(
+                    t, dbm, v1j, v2, label, h0 + (hc1 * v1j * v1j - e10) + leak1 + j * e_front,
+                    used0 + j * e_front + c_mon * p2, leaked0 + leak1 + c_leak2 * q2,
+                ))
 
     def _step_one(self, dt: float) -> None:
         """Advance the whole pipeline exactly one step of size dt."""

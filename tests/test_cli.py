@@ -130,10 +130,10 @@ def test_run_seeded_rerun_is_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("argv, sha256", [
     # ideal coupling, constant source, pump and loads off
     (["run", "paper_ideal", "--until", "86400"],
-     "12b9432df1a2073bd46bd6c015b6ba4c6ad7e82dc203f89ebadc420853949af7"),
+     "f0699fbeed30800c5164c84cbbd1c772968348aec77622d70bcb19da5cd287fa"),
     # the --seed override and the first pump episode, at 82,852 s
     (["run", "realistic_default", "--seed", "0", "--until", "100000"],
-     "f748350818fe3f5844420e925a38b8df50c7eb34f4927188b44039233a75d5a3"),
+     "741f59e6740a6e6e5642c62f8dc851963273d85841d5cac4025634a70a9716f8"),
 ], ids=["paper_ideal_1d", "realistic_seed0"])
 def test_run_trace_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     trace = tmp_path / "trace.csv"

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -363,6 +364,55 @@ def _sleeping_node():
     )
 
 
+def _lossless_sleeper():
+    """The sleeping node with the pump on, -30 dBm and neither cap leaking
+    (r_leak = inf, a == 1): cap1 charges up to the pump's start voltage
+    and the sleeping monitor drains cap2 in a straight line."""
+    base = replace(_sleeping_node(), source=ConstantSource(level_dbm=-30.0))
+    return replace(base, storage=replace(
+        base.storage,
+        cap1=Supercap(c=0.1, v=0.0, r_leak=math.inf, name="cap1"),
+        cap2=Supercap(c=0.05, v=2.5, r_leak=math.inf, name="cap2"),
+        conv1=DcDcConverter(enabled=True, v_min_operate=0.3),
+    ))
+
+
+def _leaking_past_v_oc():
+    """cap1 starts 0.3 V above v_oc in one 3,000 s window: it leaks for
+    about 1,400 steps, crosses v_oc from above and then falls on toward the
+    charging law's lower fixed point (x k passes 1/2 in that law only)."""
+    base = Scenario(
+        source=ConstantSource(level_dbm=-25.0),
+        frontend=_frontend(),
+        storage=_storage(conv1_on=False),
+        management=ManagementConfig(loads_enabled=False),
+        engine=EngineConfig(t_end=3000.0),
+    )
+    fe = base.frontend
+    p_del = dbm_to_watts(-25.0) * (1.0 - fe.reflection.gamma_sq)
+    v_oc = chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del).v_oc
+    return replace(base, storage=replace(
+        base.storage, cap1=Supercap(c=0.5, v=v_oc + 0.3, r_leak=2e4, name="cap1")
+    ))
+
+
+def _pumped_past_v_oc():
+    """The same with the pump enabled: cap1 starts above its start voltage
+    while it is idle, so the first step starts it, and later recharges
+    reach start_v from below."""
+    base = _leaking_past_v_oc()
+    return replace(base, storage=replace(
+        base.storage, conv1=DcDcConverter(enabled=True, v_min_operate=0.3)
+    ))
+
+
+def _ideal_sleeper():
+    """Ideal coupling at 80 % while the monitor sleeps on a precharged cap2."""
+    return replace(
+        _sleeping_node(), frontend=_frontend(gamma=0.5, coupling="ideal", ideal_eff=0.8)
+    )
+
+
 def _with_dt_coarse(scn: Scenario, dt: float) -> Scenario:
     return replace(scn, engine=replace(scn.engine, dt_coarse=dt))
 
@@ -434,6 +484,33 @@ def _stretched_run(scn: Scenario, trace_path=None) -> tuple:
     )
 
 
+def _assert_macro_contract(got: tuple, want: tuple) -> None:
+    """The macro-step contract against single steps: stop reason, state,
+    transmissions, event times (step indices on the same clock), step
+    counts and the ledger's step count and base agree exactly; voltages
+    and every energy to 1e-9 relative, with a floor of 1e-9 of the run's
+    energy scale for the differences that end near zero (e_stored_delta,
+    e_harvested with nothing harvested)."""
+    def split(run):
+        ttft, tx, aborted, t, state, v1, v2, go, stop, led, counts = run
+        led = dict(led)
+        by = led.pop("e_load_by_component")
+        exact = (ttft, tx, aborted, t, state, go, stop, counts,
+                 led.pop("steps"), led.pop("e_initial"), sorted(by))
+        return exact, {"v_cap1": v1, "v_cap2": v2, **led, **by}
+
+    exact, values = split(got)
+    want_exact, want_values = split(want)
+    assert repr(exact) == repr(want_exact)
+    led = want[9]
+    scale = led["e_initial"] + sum(
+        abs(led[k]) for k in ("e_harvested", "e_leaked", "e_converter_loss", "e_load_total")
+    )
+    for key, value in want_values.items():
+        floor = 1e-12 if key.startswith("v_cap") else 1e-9 * scale
+        assert values[key] == pytest.approx(value, rel=1e-9, abs=floor), key
+
+
 def _oracle_scenarios():
     from test_acceptance import _random_scenario
     from rfharvest.scenario import apply_override, read_builtin_scenario
@@ -444,31 +521,35 @@ def _oracle_scenarios():
         parse_scenario(read_builtin_scenario("paper_ideal")), "engine.t_end_s", "86400"
     ).scenario
     # Coarse steps other than 1 s: 0.7 s stretches end on a window with a
-    # short step.  Of these, only the lossy fill takes quiet steps under
-    # ideal coupling and only the sleeping node quiet steps that drain a
-    # charged cap2.
+    # short step.  Of these, only the lossy fill and the ideal sleeper take
+    # quiet steps under ideal coupling, and only the two sleepers quiet steps
+    # that drain a charged cap2.
     other_dt = [
         pytest.param(_with_dt_coarse(make(), dt), id=f"{make.__name__[1:]}_dt{dt}")
         for make in (_trace_cycle, _thevenin_fill, _dwell_cycle, _lossy_ideal_fill,
-                     _sleeping_node)
+                     _sleeping_node, _ideal_sleeper)
         for dt in (0.5, 0.7)
     ]
     return [pytest.param(drawn[i], id=f"random{i}") for i in range(0, 100, 5)] + [
         pytest.param(ideal, id="paper_ideal_1d"),
         pytest.param(_trace_cycle(), id="trace_cycle"),
         pytest.param(_thevenin_fill(), id="thevenin_fill"),
+        pytest.param(_lossless_sleeper(), id="lossless_sleeper"),
+        pytest.param(_leaking_past_v_oc(), id="leaking_past_v_oc"),
+        pytest.param(_pumped_past_v_oc(), id="pumped_past_v_oc"),
+        pytest.param(_ideal_sleeper(), id="ideal_sleeper"),
     ] + other_dt
 
 
 @pytest.mark.parametrize("scn", _oracle_scenarios())
 def test_stretches_match_single_steps_bit_for_bit(scn, tmp_path):
-    """Differential oracle: run() with coarse stretches, with and without a
-    trace file, against the same scenario stepped one single-rule step per
-    call; every result and ledger field and the step count of every regime
-    agree bit for bit (repr tells -0.0 from 0.0)."""
-    single = repr(_run_single_steps(scn))
-    assert repr(_stretched_run(scn)) == single
-    assert repr(_stretched_run(scn, str(tmp_path / "trace.csv"))) == single
+    """Differential oracle: run() with coarse stretches, whose quiet steps
+    are closed-form macro-steps, against the same scenario stepped one
+    single-rule step per call, under the macro-step contract; a traced and
+    an untraced run agree bit for bit (repr tells -0.0 from 0.0)."""
+    stretched = _stretched_run(scn)
+    _assert_macro_contract(stretched, _run_single_steps(scn))
+    assert repr(_stretched_run(scn, str(tmp_path / "trace.csv"))) == repr(stretched)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -631,7 +712,8 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
     the harvest cap leaking below v_oc and either cap clamping at 0 V fall
     inside an offered stretch on the same step as when stepping one
     single-rule step per call, with and without a trace file (rows are t,
-    v_cap1, v_cap2 and the state after each step)."""
+    v_cap1, v_cap2 and the state after each step; t and the state agree
+    exactly, the voltages to 1e-9 relative)."""
     eng = Engine(scn)
     rows = [(eng.t, eng.v1, eng.v2, eng.sm.state.value)]
     while eng.t < scn.engine.t_end - 1e-12 and eng.transmissions < 1:
@@ -653,9 +735,9 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
         if t_end > 0.0:
             calls.clear()
             res = run_scenario(replace(scn, engine=replace(scn.engine, t_end=t_end)))
-            assert repr((res.t_final, res.v_cap1, res.v_cap2, res.state_final)) == repr(
-                by_t[t_end]
-            )
+            t, v1, v2, state = by_t[t_end]
+            assert repr((res.t_final, res.state_final)) == repr((t, state))
+            assert (res.v_cap1, res.v_cap2) == pytest.approx((v1, v2), rel=1e-9, abs=1e-12)
     assert calls[0] == (0.0, t_event + 1.0)  # one stretch through the event
     # a traced run writes the event's row on the same step
     trace = tmp_path / "trace.csv"
@@ -666,3 +748,23 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
     ]
     first = (0.0, scn.storage.cap1.v, scn.storage.cap2.v, "Cold")
     assert _first_event([first] + traced, event) == float(f"{t_event:.6f}")
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, 2.45e-4, 0.01, 0.3])
+@pytest.mark.parametrize("b", [0.0, 4e-4, -2e-3])
+def test_affine_closed_form_matches_exact_steps(x, b):
+    """The macro-step's closed form against k steps of y <- (1 - x) y + b
+    in exact rational arithmetic, on both sides of its switch at x k = 1/2
+    and at x = 0 (r_leak = inf): y_k and the sums of y_j and y_j**2 to
+    1e-13 relative, and their scale where the law passes through 0."""
+    y0 = 1.9
+    for k in (1, 2, 3, 60, 120):
+        a, y, sum1, sum2 = 1 - Fraction(x), Fraction(y0), Fraction(0), Fraction(0)
+        for _ in range(k):
+            sum1 += y
+            sum2 += y * y
+            y = a * y + Fraction(b)
+        got = engine_module._affine(x, b, y0, k)
+        scale = (y0 + k * abs(b), k * y0, k * y0 * y0)
+        for value, want, size in zip(got, (y, sum1, sum2), scale):
+            assert value == pytest.approx(float(want), rel=1e-13, abs=1e-15 * size), (k, value)
