@@ -312,6 +312,18 @@ def _first_hit(x: float, b: float, y0: float, k: int, c: float, hit) -> int:
     return j
 
 
+def _quiet_booking(c_leak1: float, c_leak2: float, c_mon: float, e_front: float):
+    """The ledger's bookings over the first j steps of a quiet macro-step,
+    as a function of cap1's energy change de1 and the sums q1 (see _quiet),
+    q2 = sum v2_j (v2_j + v2_j+1) and p2 = sum (v2_j + v2_j+1): harvested,
+    front-end loss, leaked and the sleeping monitor's draw."""
+    def book(de1: float, q1: float, q2: float, p2: float, j: int):
+        leak1 = c_leak1 * q1
+        front = j * e_front
+        return de1 + leak1 + front, front, leak1 + c_leak2 * q2, c_mon * p2
+    return book
+
+
 def _exact_clock(t: float, dt: float, n: int) -> bool:
     """Whether t + j dt is exact for every j <= n: all of them are
     multiples of the finer grid of t and dt, below 2**53 of its units."""
@@ -327,15 +339,21 @@ def _clock(t: float, dt: float, k: int, exact: bool) -> float:
     return t
 
 
-def _bound_steps(t: float, dt: float, n: int, bound: float, dtc: float, exact: bool) -> int:
+def _bound_steps(t: float, dt: float, n: int, bound: float, dtc: float,
+                 exact: bool) -> tuple[int, float]:
     """Steps of dt from t, at most n, up to the first after which less than
-    a coarse step is left before bound."""
+    a coarse step is left before bound, and the clock after them."""
+    if not exact:  # one pass of the repeated additions
+        j, t = 1, t + dt
+        while j < n and not bound - t < dtc:
+            j, t = j + 1, t + dt
+        return j, t
     j = min(n, max(1, math.floor((bound - dtc - t) / dt) + 1))
-    while j > 1 and bound - _clock(t, dt, j - 1, exact) < dtc:
+    while j > 1 and bound - (t + (j - 1) * dt) < dtc:
         j -= 1
-    while j < n and not bound - _clock(t, dt, j, exact) < dtc:
+    while j < n and not bound - (t + j * dt) < dtc:
         j += 1
-    return j
+    return j, t + j * dt
 
 
 class Engine:
@@ -559,9 +577,10 @@ class Engine:
         v1, v2 = self.v1, self.v2
         bound = min(self._window_until, sc.engine.t_end)
         i_mon = 0.0
+        sleeping = mg.loads_enabled and sm.state is NodeState.SLEEP
         if mg.loads_enabled:
             lo = mg.monitor.v_min_operate
-            if sm.state is NodeState.SLEEP:
+            if sleeping:
                 if t0 >= sm.next_wake or not lo > 0.0 or v2 < lo:
                     return 0
                 bound = min(bound, sm.next_wake)
@@ -578,14 +597,13 @@ class Engine:
             return 0
         b2 = -i_mon * dt / c2
         exact = _exact_clock(t0, dt, n)
-        k = _bound_steps(t0, dt, n, bound, sc.engine.dt_coarse, exact)
+        k, t = _bound_steps(t0, dt, n, bound, sc.engine.dt_coarse, exact)
+        kb = k
         cap2 = _affine(x2, b2, v2, k)
-        if i_mon > 0.0 and cap2[0] <= lo:  # stop before the brown-out
+        if sleeping and cap2[0] <= lo:  # stop before the brown-out, drawing or not
             k = _first_hit(x2, b2, v2, k, lo, lo.__ge__) - 1
             if not k:
                 return 0
-            cap2 = _affine(x2, b2, v2, k)
-        k2 = k
         watch = st.transfer.start_v if pump_watch else math.inf
         grow = 0.0
         if thevenin:
@@ -632,21 +650,24 @@ class Engine:
         if not k:
             return 0
         v1k = y if thevenin else math.sqrt(y)
-        c_leak1 = 0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1)
-        leak1 = c_leak1 * q1
-        v2k, s2, ss2 = cap2 if k == k2 else _affine(x2, b2, v2, k)
-        leak2 = 0.5 * dt / r2 * ((2.0 - x2) * ss2 + b2 * s2)
-        mon = 0.5 * i_mon * dt * ((2.0 - x2) * s2 + k * b2)
-        e_front = 0.0 if thevenin else self._p_del * dt - e_in
-        t = _clock(t0, dt, k, exact)
+        if k < kb:
+            cap2, t = _affine(x2, b2, v2, k), _clock(t0, dt, k, exact)
+        v2k, s2, ss2 = cap2
+        book = _quiet_booking(
+            0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1), 0.5 * dt / r2,
+            0.5 * i_mon * dt, 0.0 if thevenin else self._p_del * dt - e_in,
+        )
         led = self.ledger
         if self._trace is not None:
-            self._trace_rows(taken, thevenin, t0, dt, v1, v2, x2, b2, i_mon, e_front,
-                             c_leak1, grow)
+            self._trace_rows(taken, thevenin, t0, dt, v1, v2, 1.0 - x2, b2, grow, book)
         hc1 = 0.5 * c1
-        led.e_harvested += (hc1 * v1k * v1k - hc1 * v1 * v1) + leak1 + k * e_front
-        led.e_converter_loss += k * e_front
-        led.e_leaked += leak1 + leak2
+        harvested, front, leaked, mon = book(
+            hc1 * v1k * v1k - hc1 * v1 * v1, q1,
+            (2.0 - x2) * ss2 + b2 * s2, (2.0 - x2) * s2 + k * b2, k,
+        )
+        led.e_harvested += harvested
+        led.e_converter_loss += front
+        led.e_leaked += leaked
         led.e_reflected += k * ((self._p_avail - self._p_del) * dt)
         if mon > 0.0:
             by = led.e_load_by_component
@@ -665,19 +686,15 @@ class Engine:
         led.check()
         return k
 
-    def _trace_rows(self, laws, thevenin, t, dt, v1, v2, x2, b2, i_mon, e_front, c_leak1, grow):
+    def _trace_rows(self, laws, thevenin, t, dt, v1, v2, a2, b2, grow, book):
         """Write the rows of a macro-step's steps but its last: cap1 steps
-        through laws (under ideal coupling as v1**2), cap2 through
-        (1 - x2, b2), and the ledger columns through the same partial sums
-        the macro-step books; one multiply-add per quantity and row."""
+        through laws (under ideal coupling as v1**2), cap2 through (a2, b2),
+        and the running sums go to the macro-step's own booking rule."""
         led = self.ledger
         dbm, label = self._window_dbm, self.sm.state.value
         h0, used0, leaked0 = led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked
         hc1 = 0.5 * self.c1
         e10 = hc1 * v1 * v1
-        c_leak2 = 0.5 * dt / self.r2
-        c_mon = 0.5 * i_mon * dt
-        a2 = 1.0 - x2
         y = v1 if thevenin else v1 * v1
         q1 = q2 = p2 = 0.0
         j = 0
@@ -696,10 +713,9 @@ class Engine:
                 q2 += v2 * (v2 + v2n)
                 p2 += v2 + v2n
                 v2 = v2n
-                leak1 = c_leak1 * q1
+                harvested, front, leaked, mon = book(hc1 * v1j * v1j - e10, q1, q2, p2, j)
                 write(_TRACE_ROW(
-                    t, dbm, v1j, v2, label, h0 + (hc1 * v1j * v1j - e10) + leak1 + j * e_front,
-                    used0 + j * e_front + c_mon * p2, leaked0 + leak1 + c_leak2 * q2,
+                    t, dbm, v1j, v2, label, h0 + harvested, used0 + front + mon, leaked0 + leaked,
                 ))
 
     def _step_one(self, dt: float) -> None:
