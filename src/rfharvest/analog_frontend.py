@@ -35,8 +35,8 @@ __all__ = [
     "FrontendPreset",
     "delivered_power",
     "tank_gain",
-    "input_amplitude",
-    "rectifier_open_circuit",
+    "chain_constants",
+    "chain_v_oc",
     "chain_open_circuit",
     "sensitivity_threshold_dbm",
     "calibrate_sensitivity",
@@ -143,17 +143,6 @@ def tank_gain(tank: ResonantTank, f_hz: float) -> float:
     return tank.q / math.sqrt(1.0 + tank.q * tank.q * x * x)
 
 
-def input_amplitude(tank: ResonantTank, f_hz: float, p_delivered_w: float, r_in: float) -> float:
-    """Peak carrier amplitude at the rectifier input.
-
-    The delivered power dissipates in the multiplier's input resistance, so
-    the unboosted amplitude is sqrt(2 * P * r_in); the tank multiplies it.
-    """
-    p = nonnegative("delivered power", p_delivered_w)
-    r = positive("r_in", r_in)
-    return tank_gain(tank, f_hz) * math.sqrt(2.0 * p * r)
-
-
 def _stage_sum(alpha: float, stages: int) -> float:
     """Sum of the geometric per-stage contributions: 1 + a + ... + a^(N-1)."""
     if alpha == 1.0:
@@ -161,18 +150,33 @@ def _stage_sum(alpha: float, stages: int) -> float:
     return (1.0 - alpha**stages) / (1.0 - alpha)
 
 
-def rectifier_open_circuit(params: RectifierParams, v_peak: float) -> FrontendOutput:
-    """Thevenin equivalent of the multiplier for a given drive amplitude.
+def chain_constants(
+    params: RectifierParams, tank: ResonantTank, carrier_hz: float
+) -> tuple[tuple[float, float, float, float], float]:
+    """What the chain's Thevenin pair needs besides the delivered power:
+    (tank gain at the carrier, r_in, v_drop, stage sum) for chain_v_oc,
+    and r_out, the per-stage series resistance times the stage count,
+    which does not depend on the power."""
+    consts = (tank_gain(tank, carrier_hz), params.r_in, params.v_drop,
+              _stage_sum(params.alpha, params.stages))
+    return consts, params.stages * params.r_out_per_stage
 
-    The first stage doubles the drive less two conduction drops,
-    s = max(0, 2 (v_peak - v_drop)); each later stage adds alpha times the
-    previous stage's contribution.  Output resistance is per-stage series
-    resistance times the stage count.
+
+def chain_v_oc(p_delivered_w: float, gain: float, r_in: float, v_drop: float,
+               stage_sum: float) -> float:
+    """Open-circuit voltage of the chain from its constants (chain_constants)
+    and a delivered power already known to be finite and >= 0.
+
+    The delivered power dissipates in the multiplier's input resistance, so
+    the unboosted amplitude is sqrt(2 * P * r_in); the tank multiplies it
+    into v_peak.  The first stage doubles the drive less two conduction
+    drops, s = max(0, 2 (v_peak - v_drop)); each later stage adds alpha
+    times the previous stage's contribution, so v_oc = s * stage_sum.
     """
-    vp = nonnegative("v_peak", v_peak)
-    s = max(0.0, 2.0 * (vp - params.v_drop))
-    v_oc = s * _stage_sum(params.alpha, params.stages)
-    return FrontendOutput(v_oc, params.stages * params.r_out_per_stage)
+    v_peak = gain * math.sqrt(2.0 * p_delivered_w * r_in)
+    if not v_peak < math.inf:  # a level near the float limit
+        raise QuantityError(f"v_peak must be finite and >= 0, got {v_peak!r}")
+    return max(0.0, 2.0 * (v_peak - v_drop)) * stage_sum
 
 
 def chain_open_circuit(
@@ -182,8 +186,8 @@ def chain_open_circuit(
     p_delivered_w: float,
 ) -> FrontendOutput:
     """Full chain from delivered power to the Thevenin DC output."""
-    v_peak = input_amplitude(tank, carrier_hz, p_delivered_w, params.r_in)
-    return rectifier_open_circuit(params, v_peak)
+    consts, r_out = chain_constants(params, tank, carrier_hz)
+    return FrontendOutput(chain_v_oc(nonnegative("delivered power", p_delivered_w), *consts), r_out)
 
 
 def sensitivity_threshold_dbm(

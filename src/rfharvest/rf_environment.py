@@ -43,13 +43,17 @@ _MASK64 = (1 << 64) - 1
 def _u01(seed: int, index: int) -> float:
     """Uniform double in [0, 1) from a splitmix64 hash of (seed, index)."""
     z = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & _MASK64
-    # splitmix64 finalizer, applied twice to decorrelate similar keys
-    for _ in range(2):
-        z ^= z >> 30
-        z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-        z ^= z >> 27
-        z = (z * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
+    # splitmix64 finalizer, applied twice (unrolled) to decorrelate similar keys
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
     return (z >> 11) * (1.0 / (1 << 53))
 
 

@@ -18,10 +18,9 @@ from rfharvest.analog_frontend import (
     builtin_frontend_presets,
     calibrate_sensitivity,
     chain_open_circuit,
+    chain_v_oc,
     delivered_power,
-    input_amplitude,
     preset_targets,
-    rectifier_open_circuit,
     sensitivity_threshold_dbm,
     tank_gain,
 )
@@ -75,10 +74,10 @@ def test_tank_gain_peaks_at_resonance(q, rel_offset):
 
 
 def test_input_amplitude_formula():
-    tank = ResonantTank(f0_hz=100e6, q=1.0)
-    # v = gain * sqrt(2 P r_in): 1 * sqrt(2 * 1e-7 * 5000) = sqrt(1e-3)
-    v = input_amplitude(tank, 100e6, 1e-7, 5000.0)
-    assert v == pytest.approx(math.sqrt(1e-3), rel=1e-12)
+    # v_peak = gain * sqrt(2 P r_in): 1 * sqrt(2 * 1e-7 * 5000) = sqrt(1e-3),
+    # which one stage without a drop doubles
+    v_oc = chain_v_oc(1e-7, 1.0, 5000.0, 0.0, 1.0)
+    assert v_oc == pytest.approx(2.0 * math.sqrt(1e-3), rel=1e-12)
 
 
 def test_rectifier_geometric_ladder():
@@ -86,12 +85,14 @@ def test_rectifier_geometric_ladder():
         stages=3, device=Device.ZERO_VT_MOSFET, v_drop=0.1, alpha=0.5,
         r_in=5000.0, r_out_per_stage=100.0,
     )
-    out = rectifier_open_circuit(params, v_peak=0.6)
+    tank = ResonantTank(f0_hz=100e6, q=1.0)
+    # the power whose drive amplitude is v_peak: v_peak**2 / (2 r_in)
+    out = chain_open_circuit(params, tank, 100e6, 0.6 ** 2 / (2.0 * 5000.0))
     # s = 2*(0.6-0.1) = 1.0; sum = 1 + 0.5 + 0.25
     assert out.v_oc == pytest.approx(1.75, rel=1e-12)
     assert out.r_out == pytest.approx(300.0, rel=1e-12)
     # below the device drop, no output at all
-    assert rectifier_open_circuit(params, v_peak=0.05).v_oc == 0.0
+    assert chain_open_circuit(params, tank, 100e6, 0.05 ** 2 / (2.0 * 5000.0)).v_oc == 0.0
 
 
 def test_marginal_stage_gain_strictly_decreasing():

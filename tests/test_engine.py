@@ -12,6 +12,8 @@ from rfharvest.analog_frontend import (
     ReflectionModel,
     builtin_frontend_presets,
     chain_open_circuit,
+    delivered_power,
+    tank_gain,
 )
 from rfharvest.engine import (
     TRACE_HEADER,
@@ -290,6 +292,39 @@ def test_conservation_across_mixed_scenarios():
         assert (res.time_to_first_transmission is None) == (res.transmissions == 0)
 
 
+@pytest.mark.parametrize("coupling", ["thevenin", "ideal"])
+@pytest.mark.parametrize("preset", sorted(builtin_frontend_presets()))
+def test_window_frontend_solve_matches_chain_open_circuit(preset, coupling):
+    """The engine solves the frontend's constants once per scenario; per
+    window it must give what the validated chain functions give, bit for
+    bit: delivered power, and v_oc and r_out under thevenin coupling or the
+    deposited power under ideal coupling, at -70 to +10 dBm.  v_oc also
+    keeps the chain's operation order, written out here: the tank gain
+    times sqrt(2 P r_in), then the stages."""
+    p = builtin_frontend_presets()[preset]
+    fe = FrontendConfig(ReflectionModel(0.3), p.tank, p.params, p.carrier_hz, coupling, 0.8)
+    rng = random.Random(13)
+    levels = [-70.0 + 0.25 * i for i in range(321)] + [rng.uniform(-70.0, 10.0) for _ in range(50)]
+    for dbm in levels:
+        eng = Engine(Scenario(
+            source=ConstantSource(level_dbm=dbm), frontend=fe, storage=_storage(),
+            management=ManagementConfig(loads_enabled=False), engine=EngineConfig(t_end=1.0),
+        ))
+        eng._refresh_window()
+        p_del = delivered_power(dbm_to_watts(dbm), fe.reflection)
+        if coupling == "thevenin":
+            out = chain_open_circuit(fe.rectifier, fe.tank, fe.carrier_hz, p_del)
+            rect = fe.rectifier
+            v_peak = tank_gain(fe.tank, fe.carrier_hz) * math.sqrt(2.0 * p_del * rect.r_in)
+            stage_sum = (1.0 - rect.alpha ** rect.stages) / (1.0 - rect.alpha)
+            v_oc = max(0.0, 2.0 * (v_peak - rect.v_drop)) * stage_sum
+            want = (p_del, out.v_oc, out.r_out, v_oc)
+            got = (eng._p_del, eng._v_oc, eng._r_out, eng._v_oc)
+        else:
+            want, got = (p_del, 0.8 * p_del), (eng._p_del, eng._p_ideal)
+        assert repr(got) == repr(want), dbm
+
+
 def test_rectifier_never_pulls_charge_back():
     # The harvest cap sits above the chain's open-circuit voltage: the
     # rectifier blocks reverse current, so nothing flows either way.
@@ -416,6 +451,47 @@ def _drawless_brown_out():
         storage=replace(base.storage, cap2=Supercap(c=0.05, v=2.5, r_leak=1e4, name="cap2")),
         management=ManagementConfig(monitor=MonitorConfig(wake_period=300.0, i_sleep=0.0)),
     )
+
+
+def _check_across_a_window():
+    """The sleeping node under a 61.5 s dwell: the window end at 307.5 s
+    falls inside the 10 s check that starts at 300 s."""
+    return replace(_sleeping_node(), source=FluctuatingSource(-41.0, -39.0, 61.5, seed=3))
+
+
+def _check_brown_out():
+    """A 1 mF reservoir just above v_min_operate and a 60 s wake period:
+    the check's 10 uA draw browns the monitor out 5.8 s into the first
+    check."""
+    base = _sleeping_node()
+    return replace(
+        base,
+        storage=replace(base.storage, cap2=Supercap(c=1e-3, v=1.9, r_leak=2e7, name="cap2")),
+        management=ManagementConfig(monitor=MonitorConfig(wake_period=60.0)),
+    )
+
+
+def _pumped_check():
+    """The lossless sleeper with a 30 mF harvest cap, which reaches the
+    pump's start voltage inside the first check."""
+    base = _lossless_sleeper()
+    return replace(base, storage=replace(
+        base.storage, cap1=Supercap(c=0.03, v=0.0, r_leak=math.inf, name="cap1")
+    ))
+
+
+def _short_check():
+    """The sleeping node with 0.5 s checks: 500 fine steps span less than
+    a coarse step, so no check stretch is offered."""
+    return replace(_sleeping_node(), management=ManagementConfig(
+        monitor=MonitorConfig(wake_period=300.0, check_duration=0.5)))
+
+
+def _stored_in_a_check():
+    """The sleeping node at -25 dBm, stopped at 15.2 mJ stored: the stored
+    energy passes the target 5 s into the first check."""
+    base = replace(_sleeping_node(), source=ConstantSource(level_dbm=-25.0))
+    return replace(base, engine=replace(base.engine, stop_stored_j=0.0152))
 
 
 def _ideal_sleeper():
@@ -553,6 +629,13 @@ def _oracle_scenarios():
         pytest.param(_pumped_past_v_oc(), id="pumped_past_v_oc"),
         pytest.param(_ideal_sleeper(), id="ideal_sleeper"),
         pytest.param(_drawless_brown_out(), id="drawless_brown_out"),
+        # checks taken as fine stretches (the sleeping node's end in Sleep,
+        # trace_cycle's in a cycle, the random ones' in either)
+        pytest.param(_check_across_a_window(), id="check_across_a_window"),
+        pytest.param(_check_brown_out(), id="check_brown_out"),
+        pytest.param(_pumped_check(), id="pumped_check"),
+        pytest.param(_short_check(), id="short_check"),
+        pytest.param(_stored_in_a_check(), id="stored_in_a_check"),
     ] + other_dt
 
 
@@ -567,6 +650,34 @@ def test_stretches_match_single_steps_bit_for_bit(scn, tmp_path):
     stretched = _stretched_run(scn)
     _assert_macro_contract(stretched, _run_single_steps(scn))
     assert repr(_stretched_run(scn, str(tmp_path / "trace.csv"))) == repr(stretched)
+
+
+@pytest.mark.parametrize("scn", [
+    pytest.param(_sleeping_node(), id="sleeping_node"),
+    pytest.param(_ideal_sleeper(), id="ideal_sleeper"),
+])
+def test_trace_rows_follow_single_steps(scn, tmp_path):
+    """The rows a traced run writes inside macro-steps, Sleep and check
+    ones, read the state and the ledger's running totals that stepping one
+    single-rule step per call reaches: the same t and state, the other
+    columns to 1e-8 relative (ten printed digits and the macro-step's
+    rounding)."""
+    trace = tmp_path / "trace.csv"
+    run_scenario(scn, str(trace))
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    eng = Engine(scn)
+    want = []
+    while eng.t < scn.engine.t_end - 1e-12:
+        eng.step(eng._substep_dt())
+        led = eng.ledger
+        want.append((eng.t, eng.sm.state.value, eng.v1, eng.v2, led.e_harvested,
+                     led.e_converter_loss + led.e_load_total, led.e_leaked))
+    assert len(rows) == len(want)
+    assert {row[4] for row in rows} == {"Sleep", "Check"}
+    for row, (t, state, *values) in zip(rows, want):
+        assert (row[0], row[4]) == (f"{t:.6f}", state)
+        got = [float(row[i]) for i in (2, 3, 5, 6, 7)]
+        assert got == pytest.approx(values, rel=1e-8, abs=1e-15), row[0]
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -677,7 +788,8 @@ def test_step_rejects_a_short_dt_the_single_step_rule_does_not_take(setup):
 
 def _crossing_cases():
     """One scenario per event that ends a quiet loop or changes its
-    charging law, each due inside the first coarse stretch."""
+    charging law, each due inside the first coarse stretch, and per event
+    that ends a check or falls inside its stretch."""
     quiet = Scenario(  # no pump and no loads: every step is quiet but a clamp
         source=ConstantSource(level_dbm=-25.0),
         frontend=_frontend(),
@@ -719,6 +831,13 @@ def _crossing_cases():
         pytest.param(leaking, lambda a, b: a[1] >= v_oc > b[1], id="v_oc_from_above"),
         pytest.param(ringing, lambda a, b: a[1] > 0.0 == b[1], id="cap1_clamps_at_0V"),
         pytest.param(draining, lambda a, b: a[2] > 0.0 == b[2], id="cap2_clamps_at_0V"),
+        pytest.param(_hot_scenario(), lambda a, b: a[3] == "Check" != b[3], id="check_to_boot"),
+        pytest.param(_sleeping_node(), lambda a, b: a[3] == "Check" != b[3], id="check_to_sleep"),
+        pytest.param(_check_brown_out(), lambda a, b: a[3] == "Check" and b[3] == "Cold",
+                     id="check_brown_out"),
+        # the pump moves charge into cap2 from its first step
+        pytest.param(_pumped_check(), lambda a, b: a[3] == "Check" and b[2] > a[2],
+                     id="check_pump_start_v"),
     ]
 
 
@@ -734,13 +853,16 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
     inside an offered stretch on the same step as when stepping one
     single-rule step per call, with and without a trace file (rows are t,
     v_cap1, v_cap2 and the state after each step; t and the state agree
-    exactly, the voltages to 1e-9 relative)."""
+    exactly, the voltages to 1e-9 relative).  So do a check's end, to Boot
+    or to Sleep, on the step after its stretch, and a brown-out or the
+    pump's start inside it."""
     eng = Engine(scn)
     rows = [(eng.t, eng.v1, eng.v2, eng.sm.state.value)]
     while eng.t < scn.engine.t_end - 1e-12 and eng.transmissions < 1:
         eng.step(eng._substep_dt())
         rows.append((eng.t, eng.v1, eng.v2, eng.sm.state.value))
-    t_event = _first_event(rows, event)
+    i = next(i for i in range(1, len(rows)) if event(rows[i - 1], rows[i]))
+    t_event = rows[i][0]
     by_t = {row[0]: row for row in rows}
 
     calls = []
@@ -752,14 +874,20 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
 
     monkeypatch.setattr(Engine, "step", recording_step)
     # untraced runs that end on the step before the event, on it and after
-    for t_end in (t_event - 1.0, t_event, t_event + 1.0):
+    for t_end in (rows[i - 1][0], t_event, rows[i + 1][0]):
         if t_end > 0.0:
             calls.clear()
             res = run_scenario(replace(scn, engine=replace(scn.engine, t_end=t_end)))
             t, v1, v2, state = by_t[t_end]
             assert repr((res.t_final, res.state_final)) == repr((t, state))
             assert (res.v_cap1, res.v_cap2) == pytest.approx((v1, v2), rel=1e-9, abs=1e-12)
-    assert calls[0] == (0.0, t_event + 1.0)  # one stretch through the event
+    t_before = rows[i - 1][0]
+    if rows[i - 1][3] == "Check":  # the check's stretch reaches the event's step
+        stretches = [c for c in calls if c[1] > scn.engine.dt_coarse and c[0] < t_before]
+        t, dt = stretches[-1]
+        assert t + dt == pytest.approx(t_before, abs=1e-9) or t + dt > t_before
+    else:
+        assert calls[0] == (0.0, t_event + 1.0)  # one stretch through the event
     # a traced run writes the event's row on the same step
     trace = tmp_path / "trace.csv"
     run_scenario(scn, str(trace))

@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfharvest.analog_frontend import (
+    RectifierParams,
     ReflectionModel,
-    ResonantTank,
     delivered_power,
-    input_amplitude,
 )
 from rfharvest.errors import QuantityError
 from rfharvest.quantities import dbm_to_watts, watts_to_dbm
@@ -56,6 +55,6 @@ def test_scalar_domains():
     with pytest.raises(QuantityError):
         delivered_power(-1e-9, ReflectionModel())
     with pytest.raises(QuantityError, match="r_in"):
-        input_amplitude(ResonantTank(100e6, 1.0), 100e6, 1e-6, 0.0)
+        RectifierParams(r_in=0.0)
     assert type(dbm_to_watts(-37.0)) is float
     assert type(watts_to_dbm(1e-3)) is float
