@@ -9,14 +9,17 @@ end, wake-up or stop condition, or a check's fine steps but its last.  A
 run of quiet ones (the monitor keeps its state, the pump is idle, neither
 cap clamps at 0 V) is one closed-form macro-step: inside a window each
 cap's Euler step is affine, v <- a v + b, so k steps and the ledger's sums
-over them are geometric.  The frontend is solved once per scenario; a new
-window only evaluates v_oc from the chain's constants.  The model is the
-per-step one; only rounding moves, within 1e-9 of stepping one step per
-call, and events land on the same step.  Traced and untraced runs take
-the same macro-steps; a traced one also writes a row per step, read from
-the same law, and the state never depends on it.  The ledger guard runs once per
-macro-step, so the trace of a run the guard aborts may hold rows up to the
-end of that macro-step.
+over them are geometric.  The frontend is solved once per scenario and the
+laws' constants once per step size.  A new window samples the source,
+evaluates v_oc from the chain's constants and, at its first macro-step,
+the laws' level terms; then it costs one _pick_dt, one step() and, while
+the node is quiet, one macro-step.  The model is the per-step one; only
+rounding moves, within 1e-9 of stepping one step per call, and events
+land on the same step.  Traced and untraced runs take the same
+macro-steps; a traced one also writes a row per step, read from the same
+law, and the state never depends on it.  The ledger guard runs once per
+macro-step, so the trace of a run the guard aborts may hold rows up to
+the end of that macro-step.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -91,6 +94,9 @@ _TRACE_ROW = "%.6f,%.6g,%.10g,%.10g,%s,%.10g,%.10g,%.10g\n"
 
 #: Ledger tolerance as a share of the energy harvested (see EnergyLedger.tolerance).
 LEDGER_REL_TOL = 1e-6
+
+#: Engine._terms before a window's first macro-step: no step size matches it.
+_NO_TERMS = (0.0,)
 
 COUPLING_THEVENIN = "thevenin"
 COUPLING_IDEAL = "ideal"
@@ -188,6 +194,7 @@ class EnergyLedger:
     e_stored_delta: float = 0.0
     e_initial: float = 0.0  # stored energy at t = 0, the base of e_stored_delta
     steps: int = 0  # integrator steps booked
+    unbooked: int = 0  # of them, steps that leave cap2's voltage rounding unbooked
 
     def residual(self) -> float:
         return (
@@ -205,19 +212,22 @@ class EnergyLedger:
         Every booking is an energy difference or a product that also sets
         a cap's voltage, so only roundings move the balance, each by at
         most u = 2**-53 of the rounded value.  Per step, the eight sums
-        into the totals cost at most u * 3G, and cap2's rounded voltage,
-        unbooked when only its leak drains it, u * 2(e0 + G); the
-        bookings' own arithmetic and the final sums add u * (17 e0 + 35 G)
-        (e0 = e_initial, G the gross throughput).  Like the recursive-
-        summation bound, the floor grows linearly in the steps.  A
-        macro-step of k steps books closed-form sums instead; against exact
-        arithmetic they err by tens of u of what they sum, far inside the
+        into the totals cost at most u * 3G.  cap2's rounded voltage costs
+        u * 2(e0 + G) where nothing books it: on a single step that nothing
+        draws on (a draw folds it into the monitor's share or the
+        converter loss) and once per macro-step, which books cap2 from
+        closed-form sums and sets its voltage once.  The bookings' own
+        arithmetic and the final sums add u * (17 e0 + 35 G) (e0 =
+        e_initial, G the gross throughput).  Like the recursive-summation
+        bound, the floor grows linearly in the steps.  A macro-step's
+        closed-form sums err by tens of u of what they sum, far inside its
         k steps' share.
         """
         gross = (abs(self.e_harvested) + abs(self.e_leaked)
                  + abs(self.e_converter_loss) + abs(self.e_load_total))
-        n = self.steps
-        floor = 2.0 ** -53 * ((2 * n + 17) * self.e_initial + (5 * n + 35) * gross)
+        m = self.unbooked
+        floor = 2.0 ** -53 * ((2 * m + 17) * self.e_initial
+                              + (3 * self.steps + 2 * m + 35) * gross)
         return max(LEDGER_REL_TOL * self.e_harvested, floor)
 
     def check(self) -> None:
@@ -244,7 +254,7 @@ class RunCounters:
     coarse_pump: int = 0
     fine_check: int = 0
     fine_cycle: int = 0
-    windows: int = 0  # source windows sampled, one frontend solve each
+    windows: int = 0  # source windows sampled, one v_oc evaluation each
     quiet_calls: int = 0  # closed-form macro-steps taken
 
 
@@ -338,14 +348,6 @@ def _quiet_book(c_leak1: float, c_leak2: float, c_mon: float, e_front: float,
     return de1 + leak1 + front, front, leak1 + c_leak2 * q2, c_mon * p2
 
 
-def _exact_clock(t: float, dt: float, n: int) -> bool:
-    """Whether t + j dt is exact for every j <= n: all of them are
-    multiples of the finer grid of t and dt, below 2**53 of its units."""
-    if t % 1.0 == 0.0 == dt % 1.0:  # whole seconds: a grid of 1
-        return t + n * dt < 2.0 ** 53
-    return (t + n * dt) * max(t.as_integer_ratio()[1], dt.as_integer_ratio()[1]) < 2.0 ** 53
-
-
 def _clock(t: float, dt: float, k: int, exact: bool) -> float:
     """t after k steps of dt, rounded as adding dt k times rounds it."""
     if exact:
@@ -364,7 +366,11 @@ def _bound_steps(t: float, dt: float, n: int, bound: float, dtc: float,
         while j < n and not bound - t < dtc:
             j, t = j + 1, t + dt
         return j, t
-    j = min(n, max(1, math.floor((bound - dtc - t) / dt) + 1))
+    j = math.floor((bound - dtc - t) / dt) + 1
+    if j > n:
+        j = n
+    elif j < 1:
+        j = 1
     while j > 1 and bound - (t + (j - 1) * dt) < dtc:
         j -= 1
     while j < n and not bound - (t + j * dt) < dtc:
@@ -436,6 +442,17 @@ class Engine:
         self._p_del = 0.0
         self._v_oc = 0.0
         self._p_ideal = 0.0
+        self._terms = _NO_TERMS  # the quiet laws' level terms (see _quiet)
+
+        # Scenario values read on every window's path.
+        self._pump = st.conv1.enabled
+        self._loads = mg.loads_enabled
+        self._wake_period = mg.monitor.wake_period
+        eng = scenario.engine
+        self._dtc, self._t_end, self._stop = eng.dt_coarse, eng.t_end, eng.stop_stored_j
+        # The quiet laws' constants per step size; any other dt (a step cut
+        # short) computes its own and leaves the table as it is.
+        self._per_dt = {dt: self._dt_constants(dt) for dt in (eng.dt_coarse, eng.dt_fine)}
 
         self._trace = None  # open trace CSV while run() writes one row per step
         self._offer: tuple[float, float, int] | None = None  # _pick_dt's (t, dt, steps)
@@ -444,6 +461,35 @@ class Engine:
         self.aborted_cycles = 0
         self.time_to_first_tx: float | None = None
         self.counters = RunCounters()
+
+    def _dt_constants(self, dt: float) -> tuple:
+        """What the quiet laws (see _quiet) take from the scenario and the
+        step size dt alone: whether both laws keep a > 0, cap1's leak x1,
+        the charging law's x and the factor of its b, cap2's x2 and 2 - x2,
+        cap2's b and the monitor's booking coefficient with the monitor
+        off, asleep and checking, both caps' leak booking coefficients,
+        the pump's start_v (inf without a pump), the monitor's
+        v_min_operate and the denominator of dt for the clock."""
+        mon = self.scenario.management.monitor
+        c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
+        thevenin = self._chain is not None
+        x1 = dt / c1 / r1  # cap1's leak; r_leak = inf gives 0.0, a == 1
+        g = dt / c1 / self._r_out if thevenin else 0.0  # the Thevenin charge path
+        x2 = dt / c2 / r2
+        if thevenin:  # cap1 charges toward v_oc: b = v_oc g
+            charge = (x1 + g, g)
+        else:  # ideal coupling deposits e_in, then the cap leaks: v1**2 is affine
+            charge = (x1 * (2.0 - x1), (1.0 - x1) * (1.0 - x1))
+        st = self.scenario.storage
+        return (
+            x1 + g < 1.0 and x2 < 1.0, x1, *charge, x2, 2.0 - x2,
+            -0.0 * dt / c2, 0.5 * 0.0 * dt,
+            -mon.i_sleep * dt / c2, 0.5 * mon.i_sleep * dt,
+            -mon.i_active * dt / c2, 0.5 * mon.i_active * dt,
+            0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1), 0.5 * dt / r2,
+            st.transfer.start_v if self._pump else math.inf,
+            mon.v_min_operate, dt.as_integer_ratio()[1],
+        )
 
     def _refresh_window(self) -> None:
         """Sample the source at t and solve the frontend at its level from
@@ -459,6 +505,7 @@ class Engine:
             self._v_oc = chain_v_oc(p_del, *self._chain)
         else:
             self._p_ideal = self.scenario.frontend.ideal_efficiency * p_del
+        self._terms = _NO_TERMS
 
     def _substep_dt(self) -> float:
         """The single-step size rule: dt_fine in a check or cycle, else
@@ -485,64 +532,81 @@ class Engine:
         return dt
 
     def _pick_dt(self) -> float:
-        """dt of the next step() call: the single-step rule, or a stretch of
-        whole steps when it spans more than dt_coarse.
+        """dt of the next step() call: a stretch of whole steps when one
+        spans more than dt_coarse, else the single-step rule.
 
         In Cold or Sleep a coarse stretch runs up to the earliest of the
         window end, the wake-up, t_end and one wake period (a Cold -> Sleep
-        flip inside the stretch schedules no check before that).  In a check
-        a fine stretch takes the check's steps but its last, which compares
-        v2 with the go threshold, that start before the window end (a fine
-        step is never cut short there) and leave a whole step before t_end.
+        flip inside the stretch schedules no check before that); when it
+        spans two steps or more, every bound is at least a coarse step away,
+        so the single-step rule's step is dt_coarse and is not asked for.
+        In a check a fine stretch takes the check's steps but its last,
+        which compares v2 with the go threshold, that leave a whole step
+        before t_end and start before the window end (a fine step is never
+        cut short there), counted on the clock the steps will advance.
         With stop_stored_j set, either kind also ends at the last step
         before which the stored energy provably stays below it.  The offer is
         recorded: a stretch is the one dt above dt_coarse step() accepts,
         and an offered single step is taken without asking the rule again."""
-        dt = self._substep_dt()
-        sc = self.scenario
-        eng = sc.engine
-        dtc = eng.dt_coarse
         t = self.t
+        if t >= self._window_until:
+            self._refresh_window()
+        until = self._window_until
         sm = self.sm
-        check = sm.state is NodeState.CHECK
-        h = dt  # the most one step can advance the clock
-        if check:
+        state = sm.state
+        dtc = self._dtc
+        if not state.fine and until > t:
+            dt = dtc
+            span = (until if until < self._t_end else self._t_end) - t
+            if self._loads:
+                wake = self._wake_period
+                if state is NodeState.SLEEP and sm.next_wake - t < wake:
+                    wake = sm.next_wake - t
+                if wake < span:
+                    span = wake
+            if self._stop is not None:
+                span = self._stored_span(span, dt)
+            n = math.floor(span / dt)
+            if n > 1:  # n * dt > dt_coarse
+                self._offer = (t, n * dt, n)
+                return n * dt
+        elif state is NodeState.CHECK:
+            dt = self._substep_dt()
             # Each addition of dt to the clock rounds by at most 2**-53 of
             # t_end; h allows four times that, and the partial step floor()
             # drops leaves room for the roundings of span.
-            span = min(self._window_until - t, eng.t_end - t - dt)
-            h = dt + 2.0 ** -51 * eng.t_end
-        elif dt < dtc or sm.state.fine or not self._window_until > t:
-            self._offer = (t, dt, 1)
-            return dt
-        else:
-            span = min(self._window_until, eng.t_end) - t
-            if sc.management.loads_enabled:
-                span = min(span, sc.management.monitor.wake_period)
-                if sm.state is NodeState.SLEEP:
-                    span = min(span, sm.next_wake - t)
-        stop = eng.stop_stored_j
-        if stop is not None:
-            # Per-step bound on harvested energy: ideal coupling deposits
-            # exactly p_ideal * dt; the thevenin charge current is at most
-            # v_oc / r_out at a midpoint voltage below v_oc plus half its rise.
-            if self._chain is not None:
-                i_max = self._v_oc / self._r_out
-                gain = i_max * (self._v_oc + 0.5 * i_max * dt / self.c1) * dt
-            else:
-                gain = self._p_ideal * dt
-            noise = 1e-12 * (stop + self.ledger.e_initial)  # stored-energy rounding a step
-            room = stop - self.ledger.e_stored_delta - noise
-            span = min(span, room / (gain + noise) * dt)
-        n = math.floor(span / h)
-        if check:
-            n = min(n, sm.phase_steps_left - 1)
-        if n * dt > dtc:
-            dt = n * dt
-        else:
-            n = 1
-        self._offer = (t, dt, n)
+            h = dt + 2.0 ** -51 * self._t_end
+            span = self._t_end - t - dt
+            if self._stop is not None:
+                span = self._stored_span(span, dt)
+            n = min(math.floor(span / h), sm.phase_steps_left - 1)
+            if until - t < n * h:  # the window may end first: count its steps
+                j, tj = 0, t
+                while j < n and tj < until:
+                    j, tj = j + 1, tj + dt
+                n = j
+            if n * dt > dtc:
+                self._offer = (t, n * dt, n)
+                return n * dt
+        dt = self._substep_dt()
+        self._offer = (t, dt, 1)
         return dt
+
+    def _stored_span(self, span: float, dt: float) -> float:
+        """span cut to the steps of dt before which the stored energy
+        provably stays below stop_stored_j."""
+        # Per-step bound on harvested energy: ideal coupling deposits
+        # exactly p_ideal * dt; the thevenin charge current is at most
+        # v_oc / r_out at a midpoint voltage below v_oc plus half its rise.
+        if self._chain is not None:
+            i_max = self._v_oc / self._r_out
+            gain = i_max * (self._v_oc + 0.5 * i_max * dt / self.c1) * dt
+        else:
+            gain = self._p_ideal * dt
+        stop = self._stop
+        noise = 1e-12 * (stop + self.ledger.e_initial)  # stored-energy rounding a step
+        room = stop - self.ledger.e_stored_delta - noise
+        return min(span, room / (gain + noise) * dt)
 
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt.
@@ -560,7 +624,7 @@ class Engine:
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
-        dtc = self.scenario.engine.dt_coarse
+        dtc = self._dtc
         if dt <= dtc:
             if self._offer != (self.t, dt, 1):
                 sub = self._substep_dt()
@@ -605,7 +669,9 @@ class Engine:
         follows v <- a v + b, the Euler step of _step_one: cap1 charges
         through the Thevenin pair while v1 < v_oc and only leaks at or above
         it (under ideal coupling v1**2 follows the law), cap2 leaks and
-        feeds the monitor, asleep or checking.
+        feeds the monitor, asleep or checking.  The laws' constants come
+        from the table per step size (_dt_constants), their level terms
+        are worked out once per window and step size (Engine._terms).
         _affine gives the state after k steps and the sums the ledger books.
         _first_hit ends the macro-step where cap2 would brown the monitor
         out or cap1 reach the pump's start_v; it also finds the step that
@@ -617,73 +683,74 @@ class Engine:
         the same laws; the state never depends on it.  The ledger guard
         runs once, at the end.
         """
-        sc = self.scenario
-        st = sc.storage
-        mg = sc.management
-        sm = self.sm
-        pump_watch = st.conv1.enabled
-        if pump_watch and self.conv1.running:
+        if self.conv1.running and self._pump:
             return 0
+        # b2 and c_mon start as the monitor-off pair (Cold, or loads off).
+        (ok, x1, xc, bmul, x2, two_x2, b2, c_mon, b2_sleep, mon_sleep, b2_check,
+         mon_check, c_leak1, c_leak2, watch, lo, dt_den) = (
+            self._per_dt.get(dt) or self._dt_constants(dt))
+        if not ok:  # a law with a <= 0
+            return 0
+        sm = self.sm
+        state = sm.state
         t0 = self.t
         v1, v2 = self.v1, self.v2
-        check = sm.state is NodeState.CHECK
-        bound = min(self._window_until, sc.engine.t_end)
-        i_mon = 0.0
-        powered = mg.loads_enabled and sm.state is not NodeState.COLD  # the monitor draws
-        if mg.loads_enabled:
-            lo = mg.monitor.v_min_operate
-            if powered:
-                if not lo > 0.0 or v2 < lo:
-                    return 0
-                if check:
-                    i_mon = mg.monitor.i_active
-                elif t0 >= sm.next_wake:
-                    return 0
-                else:
-                    bound = min(bound, sm.next_wake)
-                    i_mon = mg.monitor.i_sleep
-            elif v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
+        check = state is NodeState.CHECK
+        powered = self._loads and state is not NodeState.COLD  # the monitor draws
+        if powered:
+            if not lo > 0.0 or v2 < lo:
                 return 0
-        c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
-        thevenin = self._chain is not None
-        v_oc = self._v_oc
-        x1 = dt / c1 / r1  # cap1's leak; r_leak = inf gives 0.0, a == 1
-        g = dt / c1 / self._r_out if thevenin else 0.0  # the Thevenin charge path
-        x2 = dt / c2 / r2
-        if not (x1 + g < 1.0 and x2 < 1.0):
+            if check:
+                b2, c_mon = b2_check, mon_check
+            elif t0 >= sm.next_wake:
+                return 0
+            else:
+                b2, c_mon = b2_sleep, mon_sleep
+        elif self._loads and v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
             return 0
-        b2 = -i_mon * dt / c2
         k = n
         cap2 = _affine(x2, b2, v2, k)
         if powered and cap2[0] <= lo:  # stop before the brown-out, drawing or not
             k = _first_hit(x2, b2, v2, k, lo, lo.__ge__) - 1
             if not k:
                 return 0
-        watch = st.transfer.start_v if pump_watch else math.inf
-        grow = 0.0
+        thevenin = self._chain is not None
+        terms = self._terms
+        if terms[0] != dt:
+            # The laws' level terms, once per window and step size: the
+            # charging law's b, under ideal coupling the deposit's v1**2
+            # rise and the front-end loss per step, the reflected energy
+            # per step.
+            if thevenin:
+                grow = e_front = 0.0
+                b1 = self._v_oc * bmul
+            else:
+                e_in = self._p_ideal * dt
+                grow = 2.0 * e_in / self.c1
+                b1 = bmul * grow
+                e_front = self._p_del * dt - e_in
+            terms = self._terms = (dt, b1, grow, e_front, (self._p_avail - self._p_del) * dt)
+        _, b1, grow, e_front, refl = terms
         if thevenin:
             # At or above v_oc cap1 only leaks, down to the step that takes
             # it below v_oc; from there it charges.  Neither law crosses
             # v_oc from below.
+            v_oc = self._v_oc
             kd, leaks = 0, None
             if v1 >= v_oc:
                 kd, leaks = k, _affine(x1, 0.0, v1, k)
                 if leaks[0] < v_oc:
                     kd, leaks = _first_hit(x1, 0.0, v1, k, v_oc, v_oc.__gt__), None
-            laws = [(x1, 0.0, kd, leaks), (x1 + g, v_oc * g, k - kd, None)]
+            laws = ((x1, 0.0, kd, leaks), (xc, b1, k - kd, None)) if kd else ((xc, b1, k, None),)
             top, y = watch, v1
         else:
-            # Ideal coupling deposits e_in, then the cap leaks: v1**2 is affine.
-            e_in = self._p_ideal * dt
-            grow = 2.0 * e_in / c1
-            a1 = (1.0 - x1) * (1.0 - x1)
-            laws = [(x1 * (2.0 - x1), a1 * grow, k, None)]
+            laws = ((xc, b1, k, None),)  # v1**2
             top, y = watch * watch, v1 * v1
         # Take the laws' segments in turn, stopping before the first step
         # that reaches the pump's start voltage.
         k = 0
         q1 = 0.0  # sum of v1_j (v1_j + v1_j+1), or under ideal coupling of v1_j**2 + grow
-        taken = []
+        taken = [] if self._trace is not None else None  # the segments, for _trace_rows
         for x, b, steps, out in laws:
             if not steps:
                 continue
@@ -699,35 +766,47 @@ class Engine:
                 y, s, ss = out
                 q1 += (2.0 - x) * ss + b * s if thevenin else s + ok * grow
                 k += ok
-                taken.append((x, b, ok))
+                if taken is not None:
+                    taken.append((x, b, ok))
             if ok < steps:
                 break
         if not k:
             return 0
+        # Whether t0 + j dt is exact for every j <= k: all of them are
+        # multiples of the finer grid of t0 and dt, below 2**53 of its units.
+        t_den = 1 if t0 % 1.0 == 0.0 else t0.as_integer_ratio()[1]  # whole seconds: a grid of 1
+        exact = (t0 + k * dt) * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
         if check:
-            t = _clock(t0, dt, k, _exact_clock(t0, dt, k))
+            t = _clock(t0, dt, k, exact)
         else:
-            kb, t = _bound_steps(t0, dt, k, bound, sc.engine.dt_coarse, _exact_clock(t0, dt, k))
-            if kb < k:  # the stretch bound comes first, and no event before it
-                return self._quiet(kb, dt)
+            bound = self._window_until
+            if self._t_end < bound:
+                bound = self._t_end
+            if powered and sm.next_wake < bound:
+                bound = sm.next_wake
+            dtc = self._dtc
+            if exact and (k == 1 or not bound - (t0 + (k - 1) * dt) < dtc):
+                t = t0 + k * dt  # bound - t_j falls with j: no earlier step is cut
+            else:
+                kb, t = _bound_steps(t0, dt, k, bound, dtc, exact)
+                if kb < k:  # the stretch bound comes first, and no event before it
+                    return self._quiet(kb, dt)
         v1k = y if thevenin else math.sqrt(y)
         v2k, s2, ss2 = cap2 if k == n else _affine(x2, b2, v2, k)
-        coefs = (
-            0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1), 0.5 * dt / r2,
-            0.5 * i_mon * dt, 0.0 if thevenin else self._p_del * dt - e_in,
-        )
+        c1 = self.c1
         led = self.ledger
         if self._trace is not None:
-            self._trace_rows(taken, thevenin, t0, dt, v1, v2, 1.0 - x2, b2, grow, coefs)
+            self._trace_rows(taken, thevenin, t0, dt, v1, v2, 1.0 - x2, b2, grow,
+                             (c_leak1, c_leak2, c_mon, e_front))
         hc1 = 0.5 * c1
         harvested, front, leaked, mon = _quiet_book(
-            *coefs, hc1 * v1k * v1k - hc1 * v1 * v1, q1,
-            (2.0 - x2) * ss2 + b2 * s2, (2.0 - x2) * s2 + k * b2, k,
+            c_leak1, c_leak2, c_mon, e_front, hc1 * v1k * v1k - hc1 * v1 * v1, q1,
+            two_x2 * ss2 + b2 * s2, two_x2 * s2 + k * b2, k,
         )
         led.e_harvested += harvested
         led.e_converter_loss += front
         led.e_leaked += leaked
-        led.e_reflected += k * ((self._p_avail - self._p_del) * dt)
+        led.e_reflected += k * refl
         if mon > 0.0:
             kind = "monitor_check" if check else "monitor_sleep"
             by = led.e_load_by_component
@@ -736,17 +815,19 @@ class Engine:
         self.t, self.v1, self.v2 = t, v1k, v2k
         if self._trace is not None:
             self._trace.write(_TRACE_ROW % (
-                t, self._window_dbm, v1k, v2k, sm.state.value, led.e_harvested,
+                t, self._window_dbm, v1k, v2k, state.value, led.e_harvested,
                 led.e_converter_loss + led.e_load_total, led.e_leaked,
             ))
-        led.e_stored_delta = 0.5 * (c1 * v1k * v1k + c2 * v2k * v2k) - led.e_initial
+        led.e_stored_delta = 0.5 * (c1 * v1k * v1k + self.c2 * v2k * v2k) - led.e_initial
         led.steps += k
+        led.unbooked += 1  # v2k's rounding
+        counts = self.counters
         if check:
             sm.phase_steps_left -= k
-            self.counters.fine_check += k
+            counts.fine_check += k
         else:
-            self.counters.coarse_quiet += k
-        self.counters.quiet_calls += 1
+            counts.coarse_quiet += k
+        counts.quiet_calls += 1
         led.check()
         return k
 
@@ -881,6 +962,8 @@ class Engine:
                 if extra != 0.0 and mon_share > 0.0:
                     by[mon_kind] += extra
                     led.e_load_total += extra
+        else:
+            led.unbooked += 1  # nothing books v2's rounding
         self.v2 = v2
 
         self.t = t + dt
@@ -912,18 +995,13 @@ class Engine:
             if trace_path is not None:
                 self._trace = open(trace_path, "w", encoding="utf-8")
                 self._trace.write(TRACE_HEADER + "\n")
-            while self.t < t_end - 1e-12:
+            max_tx, stop, t_last = eng.max_transmissions, eng.stop_stored_j, t_end - 1e-12
+            while self.t < t_last:
                 self.step(self._pick_dt())
-                if (
-                    eng.max_transmissions is not None
-                    and self.transmissions >= eng.max_transmissions
-                ):
+                if max_tx is not None and self.transmissions >= max_tx:
                     stop_reason = "transmissions"
                     break
-                if (
-                    eng.stop_stored_j is not None
-                    and self.ledger.e_stored_delta >= eng.stop_stored_j
-                ):
+                if stop is not None and self.ledger.e_stored_delta >= stop:
                     stop_reason = "stored"
                     break
         finally:

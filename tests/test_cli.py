@@ -8,8 +8,9 @@ import re
 
 import pytest
 
+from rfharvest import engine as engine_module
 from rfharvest.cli import SWEEP_CSV_HEADER, main
-from rfharvest.engine import Engine
+from rfharvest.engine import Engine, EnergyLedger
 from rfharvest.errors import LedgerError
 
 
@@ -235,20 +236,58 @@ def test_run_maps_ledger_error_to_consistency_exit(capsys, monkeypatch):
     assert "consistency error: energy balance off by 1 J" in err
 
 
-def test_run_precharged_powerless_month_closes_the_ledger(tmp_path, capsys):
-    """A 484 J reservoir drained for 30 days with nothing harvested: the
-    float rounding of 3.1 M steps of accounting is no ledger violation."""
-    scn = _write(tmp_path, "precharged.scenario", (
+def _precharged_month(tmp_path):
+    """A 484 J reservoir, a -70 dBm source, daily checks, 30 days."""
+    return _write(tmp_path, "precharged.scenario", (
         "[source]\ntype = constant\nlevel_dbm = -70.0\n\n"
         "[storage]\ncap2_c_f = 50\ncap2_v0 = 4.4\n\n"
         "[management]\nwake_period_s = 86400\n\n"
         "[engine]\nt_end_s = 2592000\n"
     ))
-    code, out, err = _run(capsys, ["run", scn])
+
+
+def test_run_precharged_powerless_month_closes_the_ledger(tmp_path, capsys):
+    """A 484 J reservoir drained for 30 days with nothing harvested: the
+    float rounding of 3.1 M steps of accounting is no ledger violation."""
+    code, out, err = _run(capsys, ["run", _precharged_month(tmp_path)])
     assert (code, err) == (0, "")
     assert "stop reason: t_end" in out
     assert re.search(r"^harvested:\s+0 J$", out, re.MULTILINE)
     assert "== Energy ledger ==" in out and "residual:" in out
+
+
+def _every_step_floor(led: EnergyLedger) -> float:
+    """The ledger tolerance when every step was charged 2u(e0 + G) for
+    cap2's voltage rounding, booked or not."""
+    gross = (abs(led.e_harvested) + abs(led.e_leaked)
+             + abs(led.e_converter_loss) + abs(led.e_load_total))
+    n = led.steps
+    floor = 2.0 ** -53 * ((2 * n + 17) * led.e_initial + (5 * n + 35) * gross)
+    return max(1e-6 * led.e_harvested, floor)
+
+
+@pytest.mark.parametrize("rule, code", [("counted", 3), ("every_step", 0)])
+def test_run_precharged_month_catches_a_misbooked_cap2_leak(tmp_path, capsys, monkeypatch,
+                                                           rule, code):
+    """cap2's leak booked 5e-8 high in every macro-step of the precharged
+    month, about 1.2e-7 J by the end: the rounding floor that charges only
+    the steps leaving cap2's rounding unbooked aborts the run (exit 3), the
+    floor that charged every step for it lets the run close."""
+    book = engine_module._quiet_book
+
+    def misbooked(*args):
+        harvested, front, leaked, mon = book(*args)
+        return harvested, front, leaked * (1.0 + 5e-8), mon
+
+    monkeypatch.setattr(engine_module, "_quiet_book", misbooked)
+    if rule == "every_step":
+        monkeypatch.setattr(EnergyLedger, "tolerance", _every_step_floor)
+    got, out, err = _run(capsys, ["run", _precharged_month(tmp_path)])
+    assert got == code
+    if code:
+        assert out == "" and "exceeds tolerance" in err
+    else:
+        assert "stop reason: t_end" in out
 
 
 # -- sweep ------------------------------------------------------------------
