@@ -5,17 +5,19 @@ tank -> rectifier -> harvest cap -> charge pump -> reservoir cap ->
 monitor / controller loads, advancing with a coarse step while the node
 is Cold or Sleep and a fine step during checks and cycles.  Steps come in
 stretches: one step() call takes every coarse step up to the next window
-end, wake-up or stop condition, or a check's fine steps but its last.  A
-run of quiet ones (the monitor keeps its state, the pump is idle, neither
-cap clamps at 0 V) is one closed-form macro-step: inside a window each
-cap's Euler step is affine, v <- a v + b, so k steps and the ledger's sums
-over them are geometric.  The frontend is solved once per scenario and the
-laws' constants once per step size.  A new window samples the source,
-evaluates v_oc from the chain's constants and, at its first macro-step,
-the laws' level terms; then it costs one _pick_dt, one step() and, while
-the node is quiet, one macro-step.  The model is the per-step one; only
-rounding moves, within 1e-9 of stepping one step per call, and events
-land on the same step.  Traced and untraced runs take the same
+end, wake-up or stop condition, or a check's or a cycle phase's fine
+steps but its last.  A run of quiet ones (the monitor keeps its state, the
+pump is idle, neither cap clamps at 0 V) is one closed-form macro-step:
+inside a window each cap's Euler step is affine, v <- a v + b, so k steps
+and the ledger's sums over them are geometric.  The frontend is solved
+once per scenario; a quiet span (see Engine._plan) fixes the monitor's
+mode, its bound and the laws' constants once.  A new window takes the next
+level from the source's window iterator and evaluates v_oc from the
+chain's constants; then it costs one _pick_dt, one step() and, while the
+node is quiet, one macro-step with cap1's laws, cap2's step, the booking
+and the ledger guard.  The model is the per-step one; only rounding moves,
+within 1e-9 of stepping one step per call, and events land on the same
+step.  Traced and untraced runs take the same
 macro-steps; a traced one also writes a row per step, read from the same
 law, and the state never depends on it.  The ledger guard runs once per
 macro-step, so the trace of a run the guard aborts may hold rows up to
@@ -64,7 +66,12 @@ from .power_mgmt import (
     table1_profiles,
 )
 from .quantities import dbm_to_watts, fraction, positive
-from .rf_environment import RfSourceModel, TraceSource, sample_window
+from .rf_environment import (
+    RfSourceModel,
+    TraceSource,
+    sample_window,  # not called here; benchmarks/layers.py wraps it by this name
+    windows,
+)
 from .storage import (
     CAP2_V_MAX_DEFAULT,
     DcDcConverter,
@@ -95,8 +102,8 @@ _TRACE_ROW = "%.6f,%.6g,%.10g,%.10g,%s,%.10g,%.10g,%.10g\n"
 #: Ledger tolerance as a share of the energy harvested (see EnergyLedger.tolerance).
 LEDGER_REL_TOL = 1e-6
 
-#: Engine._terms before a window's first macro-step: no step size matches it.
-_NO_TERMS = (0.0,)
+#: Engine._offer when no offer stands: no dt equals it.
+_NO_OFFER = (None, 0)
 
 COUPLING_THEVENIN = "thevenin"
 COUPLING_IDEAL = "ideal"
@@ -187,6 +194,7 @@ class EnergyLedger:
 
     e_harvested: float = 0.0
     e_reflected: float = 0.0  # informational, outside the balance
+    e_delivered: float = 0.0  # RF crossing the antenna, outside the balance too
     e_leaked: float = 0.0
     e_converter_loss: float = 0.0
     e_load_by_component: dict[str, float] = field(default_factory=dict)
@@ -213,10 +221,10 @@ class EnergyLedger:
         a cap's voltage, so only roundings move the balance, each by at
         most u = 2**-53 of the rounded value.  Per step, the eight sums
         into the totals cost at most u * 3G.  cap2's rounded voltage costs
-        u * 2(e0 + G) where nothing books it: on a single step that nothing
-        draws on (a draw folds it into the monitor's share or the
-        converter loss) and once per macro-step, which books cap2 from
-        closed-form sums and sets its voltage once.  The bookings' own
+        u * 2(e0 + G) where nothing books it: on a single step with no
+        converter draw (the converter's loss, a remainder, books it on the
+        others) and once per macro-step, which books cap2 from closed-form
+        sums and sets its voltage once.  The bookings' own
         arithmetic and the final sums add u * (17 e0 + 35 G) (e0 =
         e_initial, G the gross throughput).  Like the recursive-summation
         bound, the floor grows linearly in the steps.  A macro-step's
@@ -254,7 +262,7 @@ class RunCounters:
     coarse_pump: int = 0
     fine_check: int = 0
     fine_cycle: int = 0
-    windows: int = 0  # source windows sampled, one v_oc evaluation each
+    windows: int = 0  # source windows entered, one v_oc evaluation each
     quiet_calls: int = 0  # closed-form macro-steps taken
 
 
@@ -382,8 +390,8 @@ class Engine:
     """One simulation run: single-use, strictly sequential.
 
     Construct with a scenario, then call run() once; step(dt) advances a
-    single step for fine-grained inspection, or a coarse stretch of many
-    (see _pick_dt).  Capacitor state lives in plain float attributes; only
+    single step for fine-grained inspection, or a stretch of many (see
+    _pick_dt).  Capacitor state lives in plain float attributes; only
     the converters and load switches are records.
     """
 
@@ -435,41 +443,54 @@ class Engine:
         if fe.coupling == COUPLING_THEVENIN:
             self._chain, self._r_out = chain_constants(fe.rectifier, fe.tank, fe.carrier_hz)
 
-        # Source window cache: frontend output is constant within a window.
+        # The source's windows in order; frontend output is constant within one.
+        self._windows = windows(src, 0.0)
         self._window_until = -1.0
         self._window_dbm = 0.0
         self._p_avail = 0.0
         self._p_del = 0.0
         self._v_oc = 0.0
         self._p_ideal = 0.0
-        self._terms = _NO_TERMS  # the quiet laws' level terms (see _quiet)
 
         # Scenario values read on every window's path.
         self._pump = st.conv1.enabled
         self._loads = mg.loads_enabled
-        self._wake_period = mg.monitor.wake_period
+        # No coarse stretch spans more than a wake period (see _pick_dt).
+        self._wake = mg.monitor.wake_period if mg.loads_enabled else math.inf
         eng = scenario.engine
         self._dtc, self._t_end, self._stop = eng.dt_coarse, eng.t_end, eng.stop_stored_j
-        # The quiet laws' constants per step size; any other dt (a step cut
-        # short) computes its own and leaves the table as it is.
-        self._per_dt = {dt: self._dt_constants(dt) for dt in (eng.dt_coarse, eng.dt_fine)}
 
+        self._span: tuple | None = None  # the quiet span's plan (see _plan)
         self._trace = None  # open trace CSV while run() writes one row per step
-        self._offer: tuple[float, float, int] | None = None  # _pick_dt's (t, dt, steps)
+        self._offer: tuple = _NO_OFFER  # _pick_dt's (dt, steps), until the clock moves
 
         self.transmissions = 0
         self.aborted_cycles = 0
         self.time_to_first_tx: float | None = None
         self.counters = RunCounters()
 
-    def _dt_constants(self, dt: float) -> tuple:
-        """What the quiet laws (see _quiet) take from the scenario and the
-        step size dt alone: whether both laws keep a > 0, cap1's leak x1,
-        the charging law's x and the factor of its b, cap2's x2 and 2 - x2,
-        cap2's b and the monitor's booking coefficient with the monitor
-        off, asleep and checking, both caps' leak booking coefficients,
-        the pump's start_v (inf without a pump), the monitor's
-        v_min_operate and the denominator of dt for the clock."""
+    def _plan(self, dt: float) -> tuple:
+        """What a quiet span of steps of dt fixes, worked out once: its
+        bound (the earlier of the wake-up and t_end), whether its steps are
+        quiet (see _quiet), the laws' constants (cap1's leak x1, the
+        charging law's x and the factor of its b, cap2's x2 and 2 - x2),
+        cap2's b and the monitor's booking coefficient and ledger row for
+        the state's monitor mode (off in Cold or without loads, asleep,
+        checking), both caps' leak booking coefficients, the pump's start_v
+        (inf without a pump), the brown-out level and whether the clock is
+        exact over the span, with dt's denominator for when it is not.
+
+        A span starts on entering Cold or Sleep, at the end of a pump
+        episode or of a check, and on a change of step size: _step_one
+        drops the plan, and a plan for another dt replaces it.  Nothing it
+        reads moves in between: the state, the wake-up and the pump change
+        only in single steps, and quiet steps only lower v2, never through
+        the brown-out level, so neither a Cold monitor's power-up nor a
+        powered one's brown-out comes inside.
+        """
+        sm = self.sm
+        state = sm.state
+        t, v2 = self.t, self.v2
         mon = self.scenario.management.monitor
         c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
         thevenin = self._chain is not None
@@ -477,35 +498,70 @@ class Engine:
         g = dt / c1 / self._r_out if thevenin else 0.0  # the Thevenin charge path
         x2 = dt / c2 / r2
         if thevenin:  # cap1 charges toward v_oc: b = v_oc g
-            charge = (x1 + g, g)
+            xc, bmul = x1 + g, g
         else:  # ideal coupling deposits e_in, then the cap leaks: v1**2 is affine
-            charge = (x1 * (2.0 - x1), (1.0 - x1) * (1.0 - x1))
-        st = self.scenario.storage
-        return (
-            x1 + g < 1.0 and x2 < 1.0, x1, *charge, x2, 2.0 - x2,
-            -0.0 * dt / c2, 0.5 * 0.0 * dt,
-            -mon.i_sleep * dt / c2, 0.5 * mon.i_sleep * dt,
-            -mon.i_active * dt / c2, 0.5 * mon.i_active * dt,
-            0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1), 0.5 * dt / r2,
-            st.transfer.start_v if self._pump else math.inf,
-            mon.v_min_operate, dt.as_integer_ratio()[1],
-        )
+            xc, bmul = x1 * (2.0 - x1), (1.0 - x1) * (1.0 - x1)
+        # Both laws keep a > 0 (a law with a <= 0 could ring through 0 V),
+        # and the pump is idle.
+        quiet = x1 + g < 1.0 and x2 < 1.0 and not (self.conv1.running and self._pump)
+        check = state is NodeState.CHECK
+        powered = self._loads and state is not NodeState.COLD  # the monitor draws
+        lo = mon.v_min_operate
+        bound = self._t_end
+        i_mon, kind = 0.0, ""  # the monitor's draw and its ledger row
+        if powered:
+            if sm.next_wake < bound:
+                bound = sm.next_wake
+            if not lo > 0.0 or v2 < lo:
+                quiet = False
+            elif check:
+                i_mon, kind = mon.i_active, "monitor_check"
+            elif t >= sm.next_wake:
+                quiet = False
+            else:
+                i_mon, kind = mon.i_sleep, "monitor_sleep"
+        elif self._loads and v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
+            quiet = False
+        # Whether t + j dt is exact for every step of the span: t and dt are
+        # multiples of the finer of their grids (powers of 2), as is every
+        # clock the span's exact steps reach, and all of them lie below
+        # 2 t_end, below 2**53 of its units.
+        dt_den = dt.as_integer_ratio()[1]
+        t_den = 1 if t % 1.0 == 0.0 else t.as_integer_ratio()[1]  # whole seconds: a grid of 1
+        exact = 2.0 * self._t_end * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
+        start_v = self.scenario.storage.transfer.start_v if self._pump else math.inf
+        return (dt, bound, quiet, x1, xc, bmul, x2, 2.0 - x2, -i_mon * dt / c2,
+                0.5 * i_mon * dt, kind, 0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1),
+                0.5 * dt / r2, start_v, lo, powered, check, exact, dt_den)
 
     def _refresh_window(self) -> None:
-        """Sample the source at t and solve the frontend at its level from
-        the chain's constants: v_oc under thevenin coupling, the deposited
-        power under ideal coupling."""
-        dbm, until = sample_window(self.scenario.source, self.t)
+        """Advance the source's windows to the one holding t and solve the
+        frontend at its level from the chain's constants, in the operation
+        order of dbm_to_watts and chain_v_oc: v_oc under thevenin coupling,
+        the deposited power under ideal coupling."""
+        t = self.t
+        dbm, until = self._window_dbm, self._window_until
+        while until <= t:
+            dbm, until = next(self._windows)
         self.counters.windows += 1
-        self._window_dbm = float(dbm)
-        self._window_until = float(until)
-        self._p_avail = p_avail = dbm_to_watts(dbm)
+        self._window_dbm, self._window_until = dbm, until
+        try:
+            p_avail = 10.0 ** (dbm / 10.0) * 1e-3
+        except OverflowError:
+            p_avail = math.inf
+        if not p_avail < math.inf:
+            dbm_to_watts(dbm)  # raises: a level too large or not finite
+        self._p_avail = p_avail
         self._p_del = p_del = p_avail * self._transmitted
         if self._chain is not None:
-            self._v_oc = chain_v_oc(p_del, *self._chain)
+            gain, r_in, v_drop, stage_sum = self._chain
+            v_peak = gain * math.sqrt(2.0 * p_del * r_in)
+            if not v_peak < math.inf:
+                chain_v_oc(p_del, *self._chain)  # raises
+            s = 2.0 * (v_peak - v_drop)
+            self._v_oc = (s if s > 0.0 else 0.0) * stage_sum
         else:
             self._p_ideal = self.scenario.frontend.ideal_efficiency * p_del
-        self._terms = _NO_TERMS
 
     def _substep_dt(self) -> float:
         """The single-step size rule: dt_fine in a check or cycle, else
@@ -532,45 +588,46 @@ class Engine:
         return dt
 
     def _pick_dt(self) -> float:
-        """dt of the next step() call: a stretch of whole steps when one
-        spans more than dt_coarse, else the single-step rule.
+        """dt of the next step() call: a stretch of two or more steps when
+        one is open, else the single-step rule.
 
         In Cold or Sleep a coarse stretch runs up to the earliest of the
-        window end, the wake-up, t_end and one wake period (a Cold -> Sleep
-        flip inside the stretch schedules no check before that); when it
-        spans two steps or more, every bound is at least a coarse step away,
-        so the single-step rule's step is dt_coarse and is not asked for.
-        In a check a fine stretch takes the check's steps but its last,
-        which compares v2 with the go threshold, that leave a whole step
-        before t_end and start before the window end (a fine step is never
-        cut short there), counted on the clock the steps will advance.
-        With stop_stored_j set, either kind also ends at the last step
-        before which the stored energy provably stays below it.  The offer is
-        recorded: a stretch is the one dt above dt_coarse step() accepts,
-        and an offered single step is taken without asking the rule again."""
+        window end, the span's bound (the wake-up and t_end, see _plan) and
+        one wake period (a Cold -> Sleep flip inside the stretch schedules no
+        check before that); when it spans two steps or more, every bound is
+        at least a coarse step away, so the single-step rule's step is
+        dt_coarse and is not asked for.  In a check or a cycle phase a fine
+        stretch takes the phase's steps but its last, the one that changes
+        the state (a check's compares v2 with the go threshold), that leave
+        a whole step before t_end and start before the window end (a fine
+        step is never cut short there), counted on the clock the steps will
+        advance.  With stop_stored_j set, either kind also ends at the last
+        step before which the stored energy provably stays below it.  The
+        offer stands until the clock moves: step() takes that dt as the
+        stretch, or as the single step, without asking the rule again."""
         t = self.t
         if t >= self._window_until:
             self._refresh_window()
         until = self._window_until
         sm = self.sm
-        state = sm.state
-        dtc = self._dtc
-        if not state.fine and until > t:
-            dt = dtc
-            span = (until if until < self._t_end else self._t_end) - t
-            if self._loads:
-                wake = self._wake_period
-                if state is NodeState.SLEEP and sm.next_wake - t < wake:
-                    wake = sm.next_wake - t
-                if wake < span:
-                    span = wake
-            if self._stop is not None:
-                span = self._stored_span(span, dt)
-            n = math.floor(span / dt)
-            if n > 1:  # n * dt > dt_coarse
-                self._offer = (t, n * dt, n)
-                return n * dt
-        elif state is NodeState.CHECK:
+        if not sm.state.fine:
+            if until > t:
+                dt = self._dtc
+                plan = self._span
+                if plan is None or plan[0] != dt:
+                    plan = self._span = self._plan(dt)
+                bound = plan[1]
+                span = (until if until < bound else bound) - t
+                if self._wake < span:
+                    span = self._wake
+                if self._stop is not None:
+                    span = self._stored_span(span, dt)
+                n = math.floor(span / dt)
+                if n > 1:
+                    dt *= n
+                    self._offer = (dt, n)
+                    return dt
+        elif sm.phase_steps_left > 2:
             dt = self._substep_dt()
             # Each addition of dt to the clock rounds by at most 2**-53 of
             # t_end; h allows four times that, and the partial step floor()
@@ -585,11 +642,12 @@ class Engine:
                 while j < n and tj < until:
                     j, tj = j + 1, tj + dt
                 n = j
-            if n * dt > dtc:
-                self._offer = (t, n * dt, n)
-                return n * dt
+            if n > 1:
+                dt *= n
+                self._offer = (dt, n)
+                return dt
         dt = self._substep_dt()
-        self._offer = (t, dt, 1)
+        self._offer = (dt, 1)
         return dt
 
     def _stored_span(self, span: float, dt: float) -> float:
@@ -611,51 +669,60 @@ class Engine:
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt.
 
-        dt <= dt_coarse is one step, no longer than the single-step rule's
-        (_substep_dt) and in a check or cycle exactly it.  A longer dt must
-        be the stretch _pick_dt just offered at this t.  Any other dt
-        raises before anything moves.  A stretch's steps are sized by the
-        single-step rule; runs of quiet ones are closed-form macro-steps
-        (_quiet), the rest go to _step_one.  A stretch crosses no window
-        end, and a coarse one reaches no check, so it advances exactly dt
-        (up to the rounding of the clock) at one source level.  A check
-        stretch ends early only on the step where cap2 browns the monitor
-        out, which ends the check.
+        dt is the stretch or the single step _pick_dt offered at this t, or
+        one step no longer than the single-step rule's (_substep_dt) and in
+        a check or cycle exactly it; any other dt raises before anything
+        moves.  A stretch's steps are sized by the single-step rule.  Runs
+        of quiet ones are closed-form macro-steps (_quiet); a pump episode's
+        steps, a cycle phase's and the rest go to _step_one.  A coarse
+        stretch crosses no window end and reaches no check, so it advances
+        exactly dt (up to the rounding of the clock) at one source level; a
+        fine one starts no step at or past the window end and ends early
+        only on the step that changes the state: a brown-out in a check, an
+        abort in a cycle.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
-        dtc = self._dtc
-        if dt <= dtc:
-            if self._offer != (self.t, dt, 1):
-                sub = self._substep_dt()
-                if dt > sub or (dt != sub and self.sm.state.fine):
-                    raise QuantityError(
-                        f"dt {dt!r} breaks the single-step rule at t = {self.t!r}: "
-                        f"the step there is {sub!r}"
-                        + (" exactly" if self.sm.state.fine else " or shorter")
-                    )
+        offer = self._offer
+        if dt == offer[0]:
+            n = offer[1]
+        else:
+            dtc = self._dtc
+            if dt > dtc:
+                raise QuantityError(
+                    f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
+                    f"_pick_dt offered at t = {self.t!r}"
+                )
+            sub = self._substep_dt()
+            if dt > sub or (dt != sub and self.sm.state.fine):
+                raise QuantityError(
+                    f"dt {dt!r} breaks the single-step rule at t = {self.t!r}: "
+                    f"the step there is {sub!r}"
+                    + (" exactly" if self.sm.state.fine else " or shorter")
+                )
+            n = 1
+        self._offer = _NO_OFFER
+        if n == 1:
             self._step_one(dt)
             return
-        offer = self._offer
-        if offer is None or offer[:2] != (self.t, dt):
-            raise QuantityError(
-                f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
-                f"_pick_dt offered at t = {self.t!r}"
-            )
-        left = offer[2]
-        check = self.sm.state is NodeState.CHECK
-        sub = self.scenario.engine.dt_fine if check else dtc  # as _pick_dt sized it
+        state = self.sm.state
+        fine = state.fine
+        dtc = self._dtc
+        sub = self.scenario.engine.dt_fine if fine else dtc  # as _pick_dt sized it
         while True:
-            done = self._quiet(left if check or sub == dtc else 1, sub)
-            if not done:
+            pumping = self.conv1.running and self._pump
+            k = 0 if state.cycle or pumping else self._quiet(n, sub)
+            if k:
+                n -= k
+            else:
                 self._step_one(sub)
-                if check and self.sm.state is not NodeState.CHECK:
+                n -= 1
+                if fine and self.sm.state is not state:
                     return
-                done = 1
-            left -= done
-            if left <= 0:
+            if n <= 0:
                 return
-            sub = self._substep_dt()
+            if not fine:  # every coarse step of the stretch but its last is whole
+                sub = dtc if n > 1 else self._substep_dt()
 
     def _quiet(self, n: int, dt: float) -> int:
         """Take up to n quiet steps of dt as one closed-form macro-step;
@@ -669,10 +736,11 @@ class Engine:
         follows v <- a v + b, the Euler step of _step_one: cap1 charges
         through the Thevenin pair while v1 < v_oc and only leaks at or above
         it (under ideal coupling v1**2 follows the law), cap2 leaks and
-        feeds the monitor, asleep or checking.  The laws' constants come
-        from the table per step size (_dt_constants), their level terms
-        are worked out once per window and step size (Engine._terms).
-        _affine gives the state after k steps and the sums the ledger books.
+        feeds the monitor, asleep or checking.  What the span fixes comes
+        from its plan (_plan); per call only cap1's laws, which take the
+        window's level, cap2's step, the clock and the booking are worked
+        out.  _affine gives the state after k steps and the sums the ledger
+        books.
         _first_hit ends the macro-step where cap2 would brown the monitor
         out or cap1 reach the pump's start_v; it also finds the step that
         takes cap1 below v_oc, where its law switches.  In Cold or Sleep
@@ -683,67 +751,45 @@ class Engine:
         the same laws; the state never depends on it.  The ledger guard
         runs once, at the end.
         """
-        if self.conv1.running and self._pump:
+        plan = self._span
+        if plan is None or plan[0] != dt:
+            plan = self._span = self._plan(dt)
+        (_, bound, quiet, x1, xc, bmul, x2, two_x2, b2, c_mon, kind, c_leak1, c_leak2,
+         watch, lo, powered, check, exact, dt_den) = plan
+        if not quiet:
             return 0
-        # b2 and c_mon start as the monitor-off pair (Cold, or loads off).
-        (ok, x1, xc, bmul, x2, two_x2, b2, c_mon, b2_sleep, mon_sleep, b2_check,
-         mon_check, c_leak1, c_leak2, watch, lo, dt_den) = (
-            self._per_dt.get(dt) or self._dt_constants(dt))
-        if not ok:  # a law with a <= 0
-            return 0
-        sm = self.sm
-        state = sm.state
         t0 = self.t
         v1, v2 = self.v1, self.v2
-        check = state is NodeState.CHECK
-        powered = self._loads and state is not NodeState.COLD  # the monitor draws
-        if powered:
-            if not lo > 0.0 or v2 < lo:
-                return 0
-            if check:
-                b2, c_mon = b2_check, mon_check
-            elif t0 >= sm.next_wake:
-                return 0
-            else:
-                b2, c_mon = b2_sleep, mon_sleep
-        elif self._loads and v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
-            return 0
         k = n
         cap2 = _affine(x2, b2, v2, k)
         if powered and cap2[0] <= lo:  # stop before the brown-out, drawing or not
             k = _first_hit(x2, b2, v2, k, lo, lo.__ge__) - 1
             if not k:
                 return 0
+        # cap1's laws with their level terms: the charging law's b and,
+        # under ideal coupling, the deposit's v1**2 rise and the front-end
+        # loss per step.
         thevenin = self._chain is not None
-        terms = self._terms
-        if terms[0] != dt:
-            # The laws' level terms, once per window and step size: the
-            # charging law's b, under ideal coupling the deposit's v1**2
-            # rise and the front-end loss per step, the reflected energy
-            # per step.
-            if thevenin:
-                grow = e_front = 0.0
-                b1 = self._v_oc * bmul
-            else:
-                e_in = self._p_ideal * dt
-                grow = 2.0 * e_in / self.c1
-                b1 = bmul * grow
-                e_front = self._p_del * dt - e_in
-            terms = self._terms = (dt, b1, grow, e_front, (self._p_avail - self._p_del) * dt)
-        _, b1, grow, e_front, refl = terms
         if thevenin:
-            # At or above v_oc cap1 only leaks, down to the step that takes
-            # it below v_oc; from there it charges.  Neither law crosses
-            # v_oc from below.
+            grow = e_front = 0.0
             v_oc = self._v_oc
-            kd, leaks = 0, None
-            if v1 >= v_oc:
+            b1 = v_oc * bmul
+            if v1 < v_oc:
+                laws = ((xc, b1, k, None),)
+            else:
+                # At or above v_oc cap1 only leaks, down to the step that
+                # takes it below v_oc; from there it charges.  Neither law
+                # crosses v_oc from below.
                 kd, leaks = k, _affine(x1, 0.0, v1, k)
                 if leaks[0] < v_oc:
                     kd, leaks = _first_hit(x1, 0.0, v1, k, v_oc, v_oc.__gt__), None
-            laws = ((x1, 0.0, kd, leaks), (xc, b1, k - kd, None)) if kd else ((xc, b1, k, None),)
+                laws = ((x1, 0.0, kd, leaks), (xc, b1, k - kd, None))
             top, y = watch, v1
         else:
+            e_in = self._p_ideal * dt
+            grow = 2.0 * e_in / self.c1
+            b1 = bmul * grow
+            e_front = self._p_del * dt - e_in
             laws = ((xc, b1, k, None),)  # v1**2
             top, y = watch * watch, v1 * v1
         # Take the laws' segments in turn, stopping before the first step
@@ -772,18 +818,14 @@ class Engine:
                 break
         if not k:
             return 0
-        # Whether t0 + j dt is exact for every j <= k: all of them are
-        # multiples of the finer grid of t0 and dt, below 2**53 of its units.
-        t_den = 1 if t0 % 1.0 == 0.0 else t0.as_integer_ratio()[1]  # whole seconds: a grid of 1
-        exact = (t0 + k * dt) * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
+        if not exact:  # the plan's test failed: whether t0 + j dt is exact for j <= k
+            t_den = 1 if t0 % 1.0 == 0.0 else t0.as_integer_ratio()[1]
+            exact = (t0 + k * dt) * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
         if check:
             t = _clock(t0, dt, k, exact)
         else:
-            bound = self._window_until
-            if self._t_end < bound:
-                bound = self._t_end
-            if powered and sm.next_wake < bound:
-                bound = sm.next_wake
+            if self._window_until < bound:
+                bound = self._window_until
             dtc = self._dtc
             if exact and (k == 1 or not bound - (t0 + (k - 1) * dt) < dtc):
                 t = t0 + k * dt  # bound - t_j falls with j: no earlier step is cut
@@ -806,16 +848,17 @@ class Engine:
         led.e_harvested += harvested
         led.e_converter_loss += front
         led.e_leaked += leaked
-        led.e_reflected += k * refl
+        p_del = self._p_del
+        led.e_reflected += k * ((self._p_avail - p_del) * dt)
+        led.e_delivered += k * (p_del * dt)
         if mon > 0.0:
-            kind = "monitor_check" if check else "monitor_sleep"
             by = led.e_load_by_component
             by[kind] = by.get(kind, 0.0) + mon
             led.e_load_total += mon
         self.t, self.v1, self.v2 = t, v1k, v2k
         if self._trace is not None:
             self._trace.write(_TRACE_ROW % (
-                t, self._window_dbm, v1k, v2k, state.value, led.e_harvested,
+                t, self._window_dbm, v1k, v2k, self.sm.state.value, led.e_harvested,
                 led.e_converter_loss + led.e_load_total, led.e_leaked,
             ))
         led.e_stored_delta = 0.5 * (c1 * v1k * v1k + self.c2 * v2k * v2k) - led.e_initial
@@ -823,7 +866,7 @@ class Engine:
         led.unbooked += 1  # v2k's rounding
         counts = self.counters
         if check:
-            sm.phase_steps_left -= k
+            self.sm.phase_steps_left -= k
             counts.fine_check += k
         else:
             counts.coarse_quiet += k
@@ -900,6 +943,7 @@ class Engine:
         led.e_converter_loss += e_front_loss
         led.e_leaked += leaked1
         led.e_reflected += (self._p_avail - self._p_del) * dt
+        led.e_delivered += self._p_del * dt
 
         # Charge pump cap1 -> cap2.
         st = sc.storage
@@ -918,13 +962,13 @@ class Engine:
         # Management: monitor draw and, during cycles, converter-2 loads.
         e2_before = 0.5 * c2 * v2 * v2
         i_draw = 0.0
+        draws: tuple[tuple[str, float], ...] = ()
         if sc.management.loads_enabled:
             sm = self.sm
             mon = sc.management.monitor
             i_mon, mon_kind = monitor_step(
                 mon, sm, v2, t, dt, self.go_threshold, self.check_steps
             )
-            draws: tuple[tuple[str, float], ...] = ()
             if sm.state.cycle:
                 draws, self.conv2, self.sw_sensor, self.sw_zigbee, event = cycle_substep(
                     sm, self.plan, self.conv2, self.sw_sensor, self.sw_zigbee, v2, dt
@@ -941,13 +985,15 @@ class Engine:
         v2, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
         led.e_leaked += leaked2
         if i_draw > 0.0:
-            e_drawn = e2_before - 0.5 * c2 * v2 * v2 - leaked2
             by = led.e_load_by_component
             mon_share = i_mon * 0.5 * (self.v2 + v2) * dt
             if mon_share > 0.0:
                 by[mon_kind] = by.get(mon_kind, 0.0) + mon_share
                 led.e_load_total += mon_share
             if draws:
+                # The converter's loss is what cap2 gave up beyond its leak,
+                # the monitor and the loads: it books v2's rounding.
+                e_drawn = e2_before - 0.5 * c2 * v2 * v2 - leaked2
                 e_loads = 0.0
                 for name, p in draws:
                     e = p * dt
@@ -955,21 +1001,13 @@ class Engine:
                     e_loads += e
                 led.e_load_total += e_loads
                 led.e_converter_loss += (e_drawn - mon_share) - e_loads
-            else:
-                # No converter path active: the whole non-monitor part
-                # (float noise at most) folds into the monitor share.
-                extra = e_drawn - mon_share
-                if extra != 0.0 and mon_share > 0.0:
-                    by[mon_kind] += extra
-                    led.e_load_total += extra
-        else:
-            led.unbooked += 1  # nothing books v2's rounding
+        if not draws:
+            led.unbooked += 1  # only the monitor draws, if anything: nothing books v2's rounding
         self.v2 = v2
 
         self.t = t + dt
-        led.e_stored_delta = (
-            0.5 * (self.c1 * self.v1 * self.v1 + self.c2 * v2 * v2) - led.e_initial
-        )
+        self._span = None  # the state, the wake-up or the pump may have moved
+        led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - led.e_initial
         led.steps += 1
         counts = self.counters
         if state.cycle:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import QuantityError, TraceError
 from .quantities import dbm_to_watts, finite, nonnegative
@@ -28,6 +30,7 @@ __all__ = [
     "TraceSource",
     "RfSourceModel",
     "sample_window",
+    "windows",
     "mean_power_watts",
     "load_trace_csv",
 ]
@@ -38,23 +41,35 @@ __all__ = [
 DEFAULT_DWELL_S = 60.0
 
 _MASK64 = (1 << 64) - 1
+_KEY_STEP = 0xBF58476D1CE4E5B9  # a fluctuating source's hash key per window
+_U53 = 1.0 / (1 << 53)  # a 53-bit hash to [0, 1)
+
+# The fluctuating source hashes _LANES windows with one pass of big-integer
+# arithmetic: each window's 64-bit key sits in its own 128-bit lane of one
+# int, so a product with a 64-bit constant never carries into the next
+# lane, and the mask after each shift clears what it moved in from above.
+_LANES = 64
+_LANE_ONES = sum(1 << (128 * i) for i in range(_LANES))
+_LANE_MASK = _MASK64 * _LANE_ONES
+_LANE_INDEX = sum(i << (128 * i) for i in range(_LANES))
+_LANE_WORDS = struct.Struct(f"<{2 * _LANES}Q")
 
 
-def _u01(seed: int, index: int) -> float:
-    """Uniform double in [0, 1) from a splitmix64 hash of (seed, index)."""
-    z = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & _MASK64
-    # splitmix64 finalizer, applied twice (unrolled) to decorrelate similar keys
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return (z >> 11) * (1.0 / (1 << 53))
+def _splitmix(z: int, mask: int) -> int:
+    """The splitmix64 finalizer, applied twice (unrolled) to decorrelate
+    similar keys, in every lane of z that mask (_MASK64, or _LANE_MASK for
+    _LANES lanes) keeps."""
+    z ^= (z >> 30) & mask
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= (z >> 27) & mask
+    z = (z * 0x94D049BB133111EB) & mask
+    z ^= (z >> 31) & mask
+    z ^= (z >> 30) & mask
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= (z >> 27) & mask
+    z = (z * 0x94D049BB133111EB) & mask
+    z ^= (z >> 31) & mask
+    return z
 
 
 @dataclass(frozen=True)
@@ -124,46 +139,82 @@ class TraceSource:
 RfSourceModel = Union[ConstantSource, FluctuatingSource, TraceSource]
 
 
-def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
-    """Return (level_dbm, valid_until_s) for the window containing time t.
+def windows(model: RfSourceModel, t: float) -> Iterator[tuple[float, float]]:
+    """(level_dbm, valid_until_s) for the window containing time t, then for
+    every later window in turn.
 
     valid_until is the first instant the level may change; it is +inf for a
-    constant source.  The engine uses it to avoid resampling every step.
+    constant source.  t is checked and the model dispatched once, here, so
+    a caller that walks the windows in order pays neither per window.  Past
+    a trace's last sample without hold_last the iterator raises TraceError.
     """
     nonnegative("sample time", t)
     if isinstance(model, ConstantSource):
-        return model.level_dbm, math.inf
+        return iter(((float(model.level_dbm), math.inf),))
     if isinstance(model, FluctuatingSource):
-        k = int(t // model.dwell_s)
-        if (k + 1) * model.dwell_s <= t:  # t // dwell rounds down at some k * dwell
-            k += 1
-        u = _u01(model.seed & _MASK64, k)
-        level = model.lo_dbm + (model.hi_dbm - model.lo_dbm) * u
-        return level, (k + 1) * model.dwell_s
+        return _fluctuating_windows(model, t)
     if isinstance(model, TraceSource):
-        samples = model.samples
-        t_end = samples[-1][0]
-        if t > t_end and not model.hold_last:
-            raise TraceError(
-                f"sample time {t!r} is past the end of the trace "
-                f"({t_end!r}) and hold_last is off"
-            )
-        # binary search for greatest timestamp <= t
-        lo, hi = 0, len(samples) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if samples[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo + 1 < len(samples):
-            until = samples[lo + 1][0]
-        elif model.hold_last:
-            until = math.inf
-        else:
-            until = t_end
-        return samples[lo][1], until
+        return _trace_windows(model, t)
     raise TypeError(f"unknown source model {model!r}")
+
+
+def _fluctuating_windows(model: FluctuatingSource, t: float):
+    dwell = float(model.dwell_s)
+    k = int(t // dwell)
+    if (k + 1) * dwell <= t:  # t // dwell rounds down at some k * dwell
+        k += 1
+    # The level of window k is uniform in [lo, hi] from a splitmix64 hash of
+    # (seed, k); its key steps by a constant from one window to the next.
+    key = ((model.seed & _MASK64) * 0x9E3779B97F4A7C15 + k * _KEY_STEP
+           + 0x94D049BB133111EB) & _MASK64
+    batches = _fluctuating_batches(model.lo_dbm, model.hi_dbm - model.lo_dbm, dwell, k, key)
+    return chain.from_iterable(batches)
+
+
+def _fluctuating_batches(lo: float, span: float, dwell: float, k: int, key: int):
+    """Lists of the windows from k on, its hash key given: window k alone
+    (sample_window asks for no more), then _LANES windows at a time, one
+    key per lane."""
+    yield [(lo + span * ((_splitmix(key, _MASK64) >> 11) * _U53), (k + 1) * dwell)]
+    keys = ((key + _KEY_STEP) * _LANE_ONES + _LANE_INDEX * _KEY_STEP) & _LANE_MASK
+    step = (_LANES * _KEY_STEP & _MASK64) * _LANE_ONES
+    while True:
+        u53 = (_splitmix(keys, _LANE_MASK) >> 11) & _LANE_MASK
+        words = _LANE_WORDS.unpack(u53.to_bytes(16 * _LANES, "little"))[::2]  # the lanes' low halves
+        yield [(lo + span * (m * _U53), (k + i) * dwell) for i, m in enumerate(words, 2)]
+        k += _LANES
+        keys = (keys + step) & _LANE_MASK
+
+
+def _trace_windows(model: TraceSource, t: float):
+    samples = model.samples
+    t_end = samples[-1][0]
+    if t > t_end and not model.hold_last:
+        raise TraceError(
+            f"sample time {t!r} is past the end of the trace "
+            f"({t_end!r}) and hold_last is off"
+        )
+    # binary search for greatest timestamp <= t
+    lo, hi = 0, len(samples) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if samples[mid][0] <= t:
+            lo = mid
+        else:
+            hi = mid - 1
+    for i in range(lo + 1, len(samples)):
+        yield float(samples[i - 1][1]), float(samples[i][0])
+    if model.hold_last:
+        yield float(samples[-1][1]), math.inf
+    else:
+        yield float(samples[-1][1]), float(t_end)
+        raise TraceError(f"no window past the end of the trace ({t_end!r}): hold_last is off")
+
+
+def sample_window(model: RfSourceModel, t: float) -> tuple[float, float]:
+    """Return (level_dbm, valid_until_s) for the window containing time t:
+    the first item of windows(model, t)."""
+    return next(windows(model, t))
 
 
 def mean_power_watts(model: RfSourceModel) -> float:

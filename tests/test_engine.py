@@ -197,7 +197,7 @@ def test_hot_scenario_trace_bytes_are_pinned(tmp_path):
     data = trace.read_bytes()
     assert data.count(b"\n") == 18428
     assert hashlib.sha256(data).hexdigest() == (
-        "53f813767bdcaa44210b6012fc3d981df08ba79f04749779fc1816ca51d18e82"
+        "41bc02c382ac14aec4f69bea9fc0223072247f9efadc4a7f46835b63c0f318b6"
     )
 
 
@@ -344,15 +344,17 @@ def test_rectifier_never_pulls_charge_back():
     assert res.ledger.e_harvested == 0.0
 
 
-def _recorded_calls(monkeypatch) -> list[tuple[float, float]]:
-    """Wrap Engine.step to record each call's dt and the delivered RF power
-    it integrates at, as the per-layer tracer does."""
+def _recorded_calls(monkeypatch) -> list[tuple]:
+    """Wrap Engine.step to record each call's dt, how far it moved the
+    clock, the delivered RF power it integrates at, as the per-layer tracer
+    does, and whether a cycle aborted in it."""
     calls = []
     step = Engine.step
 
     def wrapper(eng, dt):
-        calls.append((dt, eng._p_del))
+        t, p_del, aborted = eng.t, eng._p_del, eng.aborted_cycles
         step(eng, dt)
+        calls.append((dt, eng.t - t, p_del, eng.aborted_cycles > aborted))
 
     monkeypatch.setattr(Engine, "step", wrapper)
     return calls
@@ -481,8 +483,8 @@ def _pumped_check():
 
 
 def _short_check():
-    """The sleeping node with 0.5 s checks: 500 fine steps span less than
-    a coarse step, so no check stretch is offered."""
+    """The sleeping node with 0.5 s checks: a fine stretch of 499 steps,
+    shorter than a coarse step."""
     return replace(_sleeping_node(), management=ManagementConfig(
         monitor=MonitorConfig(wake_period=300.0, check_duration=0.5)))
 
@@ -524,18 +526,26 @@ def _contract_scenarios():
 
 @pytest.mark.parametrize("scn, stop_reason", _contract_scenarios())
 def test_step_advances_its_dt_at_one_source_level(monkeypatch, scn, stop_reason):
-    """Every step() call, coarse stretches included, advances exactly its dt
-    inside one source window: the calls' dt sum to the run's length, and
-    p_del * dt summed per call is the delivered RF the ledger implies."""
+    """Every step() call, stretches included, advances its dt inside one
+    source window, but a cycle stretch that ends early on the step whose
+    abort changes the state: the calls' advances sum to the run's length,
+    and p_del times the advance summed per call is the delivered RF the
+    ledger books and the reflected RF implies."""
     calls = _recorded_calls(monkeypatch)
     res = run_scenario(scn)
     assert res.stop_reason == stop_reason
-    assert max(dt for dt, _ in calls) > 1.0  # stretches were taken
-    assert math.fsum(dt for dt, _ in calls) == pytest.approx(res.t_final, rel=1e-9)
+    assert max(dt for dt, *_ in calls) > 1.0  # stretches were taken
+    for dt, advance, _, aborted in calls:
+        if aborted:
+            assert advance <= dt
+        else:
+            assert advance == pytest.approx(dt, rel=1e-9, abs=1e-9)
+    assert math.fsum(advance for _, advance, _, _ in calls) == pytest.approx(res.t_final, rel=1e-9)
     gamma_sq = scn.frontend.reflection.gamma_sq
-    delivered = math.fsum(p * dt for dt, p in calls)
+    delivered = math.fsum(p * advance for _, advance, p, _ in calls)
     implied = res.ledger.e_reflected * (1.0 - gamma_sq) / gamma_sq
     assert delivered == pytest.approx(implied, rel=1e-9)
+    assert res.ledger.e_delivered == pytest.approx(delivered, rel=1e-9)
 
 
 def _recorded_windows(monkeypatch) -> list[tuple]:
@@ -557,22 +567,52 @@ def _recorded_windows(monkeypatch) -> list[tuple]:
     return calls
 
 
-def test_step_calls_stay_inside_their_window(monkeypatch):
-    """The per-layer tracer's contract on the headline scenario: no step()
-    call of realistic_default, over 100,000 s, ends past the window it
-    started in, samples a window or changes the delivered power."""
+def _realistic_100ks(coupling="thevenin") -> Scenario:
+    """The shipped realistic_default over its first 100,000 s: 1,667 source
+    windows, no check yet."""
     from rfharvest.scenario import apply_override, read_builtin_scenario
 
-    scn = apply_override(
-        parse_scenario(read_builtin_scenario("realistic_default")), "engine.t_end_s", "100000"
-    ).scenario
+    bundle = parse_scenario(read_builtin_scenario("realistic_default"))
+    for key, value in (("engine.t_end_s", "100000"), ("frontend.coupling", coupling)):
+        bundle = apply_override(bundle, key, value)
+    return bundle.scenario
+
+
+def _short_dwell_cycle():
+    """The hot scenario under a 5 s dwell: window ends fall inside the
+    cycle's Measure and Transmit phases."""
+    return replace(_hot_scenario(), source=FluctuatingSource(-22.0, -18.0, 5.0, seed=4))
+
+
+def test_step_calls_stay_inside_their_window(monkeypatch):
+    """The per-layer tracer's contract: no step() call samples a window or
+    changes the delivered power, a coarse one ends at or before the end of
+    the window it started in, and no step of a stretch starts at or past
+    it.  So a cycle stretch stops where the window ends (the hot scenario
+    under a 5 s dwell), and so does every call of realistic_default over
+    its first 100,000 s."""
     calls = _recorded_windows(monkeypatch)
-    res = run_scenario(scn)
-    assert res.t_final == 100000.0
-    assert len(calls) >= res.counters.windows > 1000
-    for t, dt, t_after, _, until, p_del, p_del_after, windows, windows_after in calls:
-        assert t < t_after <= until, (t, dt)
-        assert (p_del_after, windows_after) == (p_del, windows), (t, dt)
+    starts = []
+    step_one = Engine._step_one
+
+    def recording_step_one(eng, dt):
+        starts.append((eng.t, eng._window_until))
+        step_one(eng, dt)
+
+    monkeypatch.setattr(Engine, "_step_one", recording_step_one)
+    for scn, stop_reason in ((_realistic_100ks(), "t_end"), (_short_dwell_cycle(), "transmissions")):
+        calls.clear()
+        starts.clear()
+        res = run_scenario(scn)
+        assert res.stop_reason == stop_reason and len(calls) >= res.counters.windows > 40
+        for t, dt, t_after, state, until, p_del, p_del_after, windows, windows_after in calls:
+            assert t < until and (p_del_after, windows_after) == (p_del, windows), (t, dt)
+            if not state.fine:
+                assert t_after <= until, (t, dt)
+        assert all(t < until for t, until in starts)
+    cycle = [(t_after, until) for t, dt, t_after, state, until, *_ in calls
+             if state.cycle and dt > 1e-3]
+    assert len(cycle) >= 4 and any(t_after > until for t_after, until in cycle)  # a last step straddles it
 
 
 def test_check_stretch_runs_to_the_window_end(monkeypatch):
@@ -588,6 +628,61 @@ def test_check_stretch_runs_to_the_window_end(monkeypatch):
     assert until == 307.5 and end - 0.001 < until <= end
     assert second[0] == end and second[4] > until
     assert last[1] == 0.001 and last[2] == pytest.approx(310.001)
+
+
+def test_one_step_call_per_window_and_per_cycle_phase(monkeypatch):
+    """realistic_default over 100,000 s takes one step() call per source
+    window, pump episodes included; a cycle phase takes at most two calls,
+    its steps but the last as one fine stretch, then the step that ends it."""
+    calls = _recorded_windows(monkeypatch)
+    res = run_scenario(_realistic_100ks())
+    assert res.counters.coarse_pump > 0 and res.counters.fine_check == 0
+    assert len(calls) == res.counters.windows == 1667
+
+    calls.clear()
+    res = run_scenario(_trace_cycle())
+    assert res.transmissions == 1 and res.aborted_cycles == 1
+    phases = []  # calls per run of calls that start in one cycle phase
+    for (_, _, _, state, *_), (_, _, _, before, *_) in zip(calls, [(None,) * 9] + calls):
+        if state.cycle:
+            if state is before:
+                phases[-1] += 1
+            else:
+                phases.append(1)
+    # Handoff, Measure and an aborted Transmit; Handoff, Measure, Transmit, Shutdown
+    assert phases == [2, 2, 1, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("gamma_sq", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("make", [_hot_scenario, _dwell_cycle, _lossy_ideal_fill, _ideal_sleeper])
+def test_delivered_rf_is_what_the_reflection_passes(make, gamma_sq):
+    """The ledger's delivered RF, booked per step and per macro-step outside
+    the balance, is the reflected RF times (1 - gamma^2) / gamma^2."""
+    base = make()
+    scn = replace(base, frontend=replace(
+        base.frontend, reflection=ReflectionModel(gamma_sq=gamma_sq)))
+    led = run_scenario(scn).ledger
+    assert led.e_delivered > 0.0
+    assert led.e_delivered == pytest.approx(
+        led.e_reflected * (1.0 - gamma_sq) / gamma_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize("coupling", ["thevenin", "ideal"])
+def test_delivered_rf_sums_the_source_windows(coupling):
+    """The ledger's delivered RF over realistic_default's first 100,000 s
+    equals p_del times the length of each window sample_window gives."""
+    from rfharvest.rf_environment import sample_window
+
+    scn = _realistic_100ks(coupling)
+    led = run_scenario(scn).ledger
+    t, parts = 0.0, []
+    while t < 100000.0:
+        dbm, until = sample_window(scn.source, t)
+        end = min(until, 100000.0)
+        parts.append(delivered_power(dbm_to_watts(dbm), scn.frontend.reflection) * (end - t))
+        t = end
+    assert len(parts) == 1667
+    assert led.e_delivered == pytest.approx(math.fsum(parts), rel=1e-12)
 
 
 def _run_single_steps(scn: Scenario) -> tuple:
@@ -764,6 +859,29 @@ def test_ledger_guard_fires_inside_a_quiet_stretch(monkeypatch, tmp_path, traced
     assert len(calls) == 1 and calls[0] > eng.scenario.engine.dt_coarse
     assert len(files) == (1 if traced else 0) and all(fh.closed for fh in files)
     assert eng._trace is None
+
+
+@pytest.mark.parametrize("misbooked", [False, True], ids=["as_is", "leak_1pct_high"])
+def test_ledger_guard_sees_cap2_on_steps_only_the_monitor_draws_on(monkeypatch, misbooked):
+    """The hot scenario's check runs with the pump on, so its 10,000 steps
+    are single steps on which only the monitor draws.  cap2's leak booked
+    1 % high on every single step that draws on cap2 (cap_euler with a
+    negative current) must reach the residual and abort the run: nothing
+    folds the error into the monitor's share.  Unchanged, the run closes."""
+    if misbooked:
+        euler = engine_module.cap_euler
+
+        def high_leak(v, c, r_leak, i_in, dt):
+            v_new, leaked = euler(v, c, r_leak, i_in, dt)
+            return v_new, leaked * 1.01 if i_in < 0.0 else leaked
+
+        monkeypatch.setattr(engine_module, "cap_euler", high_leak)
+        with pytest.raises(LedgerError, match="exceeds tolerance"):
+            run_scenario(_hot_scenario())
+    else:
+        res = run_scenario(_hot_scenario())
+        assert res.transmissions == 1 and res.counters.fine_check == 10000
+        assert abs(res.ledger.residual()) <= res.ledger.tolerance()
 
 
 def _step_until(eng: Engine, done) -> Engine:

@@ -13,6 +13,7 @@ from rfharvest.rf_environment import (
     load_trace_csv,
     mean_power_watts,
     sample_window,
+    windows,
 )
 
 
@@ -109,6 +110,79 @@ def test_trace_step_hold_semantics():
         _level(src, 20.001)
     held = TraceSource(samples=((0.0, -40.0), (10.0, -35.0)), hold_last=True)
     assert _level(held, 1e9) == -35.0
+
+
+def _splitmix64_u01(seed: int, index: int) -> float:
+    """The published splitmix64 finalizer, applied twice, on one key: the
+    fluctuating source's level draw for window index, written out here."""
+    mask = (1 << 64) - 1
+    z = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & mask
+    for _ in range(2):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+    return (z >> 11) * (1.0 / (1 << 53))
+
+
+_WINDOW_SOURCES = [
+    ConstantSource(-37.0),
+    FluctuatingSource(-43.0, -33.0, 60.0, seed=0),
+    FluctuatingSource(-22.0, -18.0, 37.3, seed=2**64 + 9),
+    FluctuatingSource(-43.0, -33.0, 32.23903495730064, seed=5),
+    FluctuatingSource(-50.0, -20.0, 0.1, seed=3),
+    TraceSource(((0.0, -21.0), (37.25, -19.5), (101.6, -23.0), (240.125, -18.5)), hold_last=True),
+    TraceSource(((0.0, -21.0), (0.5, -19.5), (1.0, -23.0)), hold_last=False),
+]
+
+
+@pytest.mark.parametrize("src", _WINDOW_SOURCES)
+@pytest.mark.parametrize("t0", [0.0, 12.3, 96.71710487190191])
+def test_windows_follow_sample_window_bit_for_bit(src, t0):
+    """windows(src, t0) gives the window holding t0 and then each later
+    one, as sample_window gives them at every window start and at the last
+    float before every window end, across batches of hashed windows and
+    across a trace's last sample; the fluctuating levels are the splitmix64
+    draws of their windows."""
+    import math
+
+    it = windows(src, t0)
+    start = t0
+    for _ in range(150):
+        try:
+            level, until = next(it)
+        except TraceError:
+            assert isinstance(src, TraceSource) and not src.hold_last
+            assert start >= src.samples[-1][0]  # the last sample, or t0 past it
+            return
+        for t in (start, math.nextafter(until, 0.0)):
+            if start <= t < until:
+                assert repr(sample_window(src, t)) == repr((level, until)), t
+        if isinstance(src, FluctuatingSource):
+            k = round(until / src.dwell_s) - 1
+            u = _splitmix64_u01(src.seed & ((1 << 64) - 1), k)
+            assert repr(level) == repr(src.lo_dbm + (src.hi_dbm - src.lo_dbm) * u)
+        if until == math.inf:
+            assert not isinstance(src, FluctuatingSource)
+            return
+        start = until
+    assert isinstance(src, FluctuatingSource)
+
+
+def test_windows_past_a_trace_end():
+    """A trace without hold_last has no window past its last sample, which
+    holds for an instant; with hold_last the last sample holds forever."""
+    samples = ((0.0, -40.0), (10.0, -35.0), (20.0, -30.0))
+    it = windows(TraceSource(samples), 15.0)
+    assert next(it) == (-35.0, 20.0)
+    assert next(it) == (-30.0, 20.0)
+    with pytest.raises(TraceError, match="past the end of the trace"):
+        next(it)
+    with pytest.raises(TraceError, match="past the end of the trace"):
+        next(windows(TraceSource(samples), 20.001))
+    held = windows(TraceSource(samples, hold_last=True), 15.0)
+    assert [next(held), next(held)] == [(-35.0, 20.0), (-30.0, float("inf"))]
+    with pytest.raises(QuantityError):
+        windows(TraceSource(samples), -1.0)
 
 
 def test_trace_validation():
