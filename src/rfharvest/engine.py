@@ -536,30 +536,18 @@ class Engine:
 
     def _refresh_window(self) -> None:
         """Advance the source's windows to the one holding t and solve the
-        frontend at its level from the chain's constants, in the operation
-        order of dbm_to_watts and chain_v_oc: v_oc under thevenin coupling,
-        the deposited power under ideal coupling."""
+        frontend at its level from the chain's constants: v_oc under
+        thevenin coupling, the deposited power under ideal coupling."""
         t = self.t
         dbm, until = self._window_dbm, self._window_until
         while until <= t:
             dbm, until = next(self._windows)
         self.counters.windows += 1
         self._window_dbm, self._window_until = dbm, until
-        try:
-            p_avail = 10.0 ** (dbm / 10.0) * 1e-3
-        except OverflowError:
-            p_avail = math.inf
-        if not p_avail < math.inf:
-            dbm_to_watts(dbm)  # raises: a level too large or not finite
-        self._p_avail = p_avail
+        self._p_avail = p_avail = dbm_to_watts(dbm)
         self._p_del = p_del = p_avail * self._transmitted
         if self._chain is not None:
-            gain, r_in, v_drop, stage_sum = self._chain
-            v_peak = gain * math.sqrt(2.0 * p_del * r_in)
-            if not v_peak < math.inf:
-                chain_v_oc(p_del, *self._chain)  # raises
-            s = 2.0 * (v_peak - v_drop)
-            self._v_oc = (s if s > 0.0 else 0.0) * stage_sum
+            self._v_oc = chain_v_oc(p_del, *self._chain)
         else:
             self._p_ideal = self.scenario.frontend.ideal_efficiency * p_del
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -44,31 +42,20 @@ _MASK64 = (1 << 64) - 1
 _KEY_STEP = 0xBF58476D1CE4E5B9  # a fluctuating source's hash key per window
 _U53 = 1.0 / (1 << 53)  # a 53-bit hash to [0, 1)
 
-# The fluctuating source hashes _LANES windows with one pass of big-integer
-# arithmetic: each window's 64-bit key sits in its own 128-bit lane of one
-# int, so a product with a 64-bit constant never carries into the next
-# lane, and the mask after each shift clears what it moved in from above.
-_LANES = 64
-_LANE_ONES = sum(1 << (128 * i) for i in range(_LANES))
-_LANE_MASK = _MASK64 * _LANE_ONES
-_LANE_INDEX = sum(i << (128 * i) for i in range(_LANES))
-_LANE_WORDS = struct.Struct(f"<{2 * _LANES}Q")
 
-
-def _splitmix(z: int, mask: int) -> int:
+def _splitmix(z: int) -> int:
     """The splitmix64 finalizer, applied twice (unrolled) to decorrelate
-    similar keys, in every lane of z that mask (_MASK64, or _LANE_MASK for
-    _LANES lanes) keeps."""
-    z ^= (z >> 30) & mask
-    z = (z * 0xBF58476D1CE4E5B9) & mask
-    z ^= (z >> 27) & mask
-    z = (z * 0x94D049BB133111EB) & mask
-    z ^= (z >> 31) & mask
-    z ^= (z >> 30) & mask
-    z = (z * 0xBF58476D1CE4E5B9) & mask
-    z ^= (z >> 27) & mask
-    z = (z * 0x94D049BB133111EB) & mask
-    z ^= (z >> 31) & mask
+    similar keys."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
     return z
 
 
@@ -159,7 +146,7 @@ def windows(model: RfSourceModel, t: float) -> Iterator[tuple[float, float]]:
 
 
 def _fluctuating_windows(model: FluctuatingSource, t: float):
-    dwell = float(model.dwell_s)
+    lo, span, dwell = model.lo_dbm, model.hi_dbm - model.lo_dbm, float(model.dwell_s)
     k = int(t // dwell)
     if (k + 1) * dwell <= t:  # t // dwell rounds down at some k * dwell
         k += 1
@@ -167,23 +154,10 @@ def _fluctuating_windows(model: FluctuatingSource, t: float):
     # (seed, k); its key steps by a constant from one window to the next.
     key = ((model.seed & _MASK64) * 0x9E3779B97F4A7C15 + k * _KEY_STEP
            + 0x94D049BB133111EB) & _MASK64
-    batches = _fluctuating_batches(model.lo_dbm, model.hi_dbm - model.lo_dbm, dwell, k, key)
-    return chain.from_iterable(batches)
-
-
-def _fluctuating_batches(lo: float, span: float, dwell: float, k: int, key: int):
-    """Lists of the windows from k on, its hash key given: window k alone
-    (sample_window asks for no more), then _LANES windows at a time, one
-    key per lane."""
-    yield [(lo + span * ((_splitmix(key, _MASK64) >> 11) * _U53), (k + 1) * dwell)]
-    keys = ((key + _KEY_STEP) * _LANE_ONES + _LANE_INDEX * _KEY_STEP) & _LANE_MASK
-    step = (_LANES * _KEY_STEP & _MASK64) * _LANE_ONES
     while True:
-        u53 = (_splitmix(keys, _LANE_MASK) >> 11) & _LANE_MASK
-        words = _LANE_WORDS.unpack(u53.to_bytes(16 * _LANES, "little"))[::2]  # the lanes' low halves
-        yield [(lo + span * (m * _U53), (k + i) * dwell) for i, m in enumerate(words, 2)]
-        k += _LANES
-        keys = (keys + step) & _LANE_MASK
+        k += 1
+        yield lo + span * ((_splitmix(key) >> 11) * _U53), k * dwell
+        key = (key + _KEY_STEP) & _MASK64
 
 
 def _trace_windows(model: TraceSource, t: float):

@@ -510,39 +510,44 @@ def _with_dt_coarse(scn: Scenario, dt: float) -> Scenario:
 def _contract_scenarios():
     hot = replace(_hot_scenario(), frontend=_frontend(gamma=0.5))
     return [
-        # pump episodes, checks and a cycle; the monitor powers up inside a
-        # stretch of the constant source
-        pytest.param(hot, "transmissions", id="constant_cycle"),
-        # the same with dwell boundaries between coarse steps
+        # pump episodes, checks and a cycle whose first Transmit aborts; the
+        # monitor powers up inside a stretch of the constant source
+        pytest.param(hot, "transmissions", True, id="constant_cycle"),
+        # the same with dwell boundaries between coarse steps, no abort
         pytest.param(
             replace(hot, source=FluctuatingSource(-22.0, -18.0, 37.3, seed=4)),
-            "transmissions", id="fluctuating_cycle",
+            "transmissions", False, id="fluctuating_cycle",
         ),
-        pytest.param(_trace_cycle(), "transmissions", id="trace_cycle"),
-        pytest.param(_ideal_scenario(0.032, gamma=0.5), "stored", id="ideal_fill"),
-        pytest.param(_thevenin_fill(), "stored", id="thevenin_fill"),
+        pytest.param(_trace_cycle(), "transmissions", True, id="trace_cycle"),
+        pytest.param(_ideal_scenario(0.032, gamma=0.5), "stored", False, id="ideal_fill"),
+        pytest.param(_thevenin_fill(), "stored", False, id="thevenin_fill"),
     ]
 
 
-@pytest.mark.parametrize("scn, stop_reason", _contract_scenarios())
-def test_step_advances_its_dt_at_one_source_level(monkeypatch, scn, stop_reason):
-    """Every step() call, stretches included, advances its dt inside one
-    source window, but a cycle stretch that ends early on the step whose
-    abort changes the state: the calls' advances sum to the run's length,
-    and p_del times the advance summed per call is the delivered RF the
-    ledger books and the reflected RF implies."""
+@pytest.mark.parametrize("scn, stop_reason, aborts", _contract_scenarios())
+def test_step_advances_its_dt_at_one_source_level(monkeypatch, scn, stop_reason, aborts):
+    """Every step() call, stretches included, advances exactly its dt
+    inside one source window: the calls' dt sum to the run's length, and
+    p_del * dt summed per call is the delivered RF the ledger books and the
+    reflected RF implies.  The one exception is the call whose cycle
+    stretch aborts: step() returns on the step that changes the state,
+    short of its dt, so sums over dt overcount by the part it did not run
+    (a per-call integral of p_del * dt misreads a run with such an abort)."""
     calls = _recorded_calls(monkeypatch)
     res = run_scenario(scn)
     assert res.stop_reason == stop_reason
     assert max(dt for dt, *_ in calls) > 1.0  # stretches were taken
-    for dt, advance, _, aborted in calls:
-        if aborted:
-            assert advance <= dt
-        else:
-            assert advance == pytest.approx(dt, rel=1e-9, abs=1e-9)
-    assert math.fsum(advance for _, advance, _, _ in calls) == pytest.approx(res.t_final, rel=1e-9)
+    short = []  # (the dt not run, p_del) of each call that ends short
+    for dt, advance, p, aborted in calls:
+        if advance != pytest.approx(dt, rel=1e-9, abs=1e-9):
+            assert aborted and advance < dt, (dt, advance)
+            short.append((dt - advance, p))
+    assert len(short) == (1 if aborts else 0)
+    t_run = math.fsum(dt for dt, *_ in calls) - math.fsum(gap for gap, _ in short)
+    assert t_run == pytest.approx(res.t_final, rel=1e-9)
     gamma_sq = scn.frontend.reflection.gamma_sq
-    delivered = math.fsum(p * advance for _, advance, p, _ in calls)
+    delivered = (math.fsum(p * dt for dt, _, p, _ in calls)
+                 - math.fsum(p * gap for gap, p in short))
     implied = res.ledger.e_reflected * (1.0 - gamma_sq) / gamma_sq
     assert delivered == pytest.approx(implied, rel=1e-9)
     assert res.ledger.e_delivered == pytest.approx(delivered, rel=1e-9)

@@ -140,9 +140,9 @@ _WINDOW_SOURCES = [
 def test_windows_follow_sample_window_bit_for_bit(src, t0):
     """windows(src, t0) gives the window holding t0 and then each later
     one, as sample_window gives them at every window start and at the last
-    float before every window end, across batches of hashed windows and
-    across a trace's last sample; the fluctuating levels are the splitmix64
-    draws of their windows."""
+    float before every window end, over 150 windows and across a trace's
+    last sample; the fluctuating levels are the splitmix64 draws of their
+    windows."""
     import math
 
     it = windows(src, t0)
