@@ -105,6 +105,9 @@ LEDGER_REL_TOL = 1e-6
 #: Engine._offer when no offer stands: no dt equals it.
 _NO_OFFER = (None, 0)
 
+#: The least positive float: bound - t >= _ANY_TIME exactly when t < bound.
+_ANY_TIME = math.ulp(0.0)
+
 COUPLING_THEVENIN = "thevenin"
 COUPLING_IDEAL = "ideal"
 
@@ -356,36 +359,6 @@ def _quiet_book(c_leak1: float, c_leak2: float, c_mon: float, e_front: float,
     return de1 + leak1 + front, front, leak1 + c_leak2 * q2, c_mon * p2
 
 
-def _clock(t: float, dt: float, k: int, exact: bool) -> float:
-    """t after k steps of dt, rounded as adding dt k times rounds it."""
-    if exact:
-        return t + k * dt
-    for _ in range(k):
-        t += dt
-    return t
-
-
-def _bound_steps(t: float, dt: float, n: int, bound: float, dtc: float,
-                 exact: bool) -> tuple[int, float]:
-    """Steps of dt from t, at most n, up to the first after which less than
-    a coarse step is left before bound, and the clock after them."""
-    if not exact:  # one pass of the repeated additions
-        j, t = 1, t + dt
-        while j < n and not bound - t < dtc:
-            j, t = j + 1, t + dt
-        return j, t
-    j = math.floor((bound - dtc - t) / dt) + 1
-    if j > n:
-        j = n
-    elif j < 1:
-        j = 1
-    while j > 1 and bound - (t + (j - 1) * dt) < dtc:
-        j -= 1
-    while j < n and not bound - (t + j * dt) < dtc:
-        j += 1
-    return j, t + j * dt
-
-
 class Engine:
     """One simulation run: single-use, strictly sequential.
 
@@ -408,7 +381,11 @@ class Engine:
         st = scenario.storage
         mg = scenario.management
 
-        self.t = 0.0
+        # The clock: t = t_a + j dt from an anchor t_a, with the dt of the
+        # steps since it (0.0 before the first, which no dt equals).
+        self.t = self._t_a = 0.0
+        self._j = 0
+        self._dt_a = 0.0
         self.v1 = st.cap1.v
         self.v2 = st.cap2.v
         self.c1 = st.cap1.c
@@ -477,8 +454,7 @@ class Engine:
         cap2's b and the monitor's booking coefficient and ledger row for
         the state's monitor mode (off in Cold or without loads, asleep,
         checking), both caps' leak booking coefficients, the pump's start_v
-        (inf without a pump), the brown-out level and whether the clock is
-        exact over the span, with dt's denominator for when it is not.
+        (inf without a pump) and the brown-out level.
 
         A span starts on entering Cold or Sleep, at the end of a pump
         episode or of a check, and on a change of step size: _step_one
@@ -490,7 +466,7 @@ class Engine:
         """
         sm = self.sm
         state = sm.state
-        t, v2 = self.t, self.v2
+        v2 = self.v2
         mon = self.scenario.management.monitor
         c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
         thevenin = self._chain is not None
@@ -516,23 +492,16 @@ class Engine:
                 quiet = False
             elif check:
                 i_mon, kind = mon.i_active, "monitor_check"
-            elif t >= sm.next_wake:
+            elif self.t >= sm.next_wake:
                 quiet = False
             else:
                 i_mon, kind = mon.i_sleep, "monitor_sleep"
         elif self._loads and v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
             quiet = False
-        # Whether t + j dt is exact for every step of the span: t and dt are
-        # multiples of the finer of their grids (powers of 2), as is every
-        # clock the span's exact steps reach, and all of them lie below
-        # 2 t_end, below 2**53 of its units.
-        dt_den = dt.as_integer_ratio()[1]
-        t_den = 1 if t % 1.0 == 0.0 else t.as_integer_ratio()[1]  # whole seconds: a grid of 1
-        exact = 2.0 * self._t_end * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
         start_v = self.scenario.storage.transfer.start_v if self._pump else math.inf
         return (dt, bound, quiet, x1, xc, bmul, x2, 2.0 - x2, -i_mon * dt / c2,
                 0.5 * i_mon * dt, kind, 0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1),
-                0.5 * dt / r2, start_v, lo, powered, check, exact, dt_den)
+                0.5 * dt / r2, start_v, lo, powered, check)
 
     def _refresh_window(self) -> None:
         """Advance the source's windows to the one holding t and solve the
@@ -579,68 +548,89 @@ class Engine:
         """dt of the next step() call: a stretch of two or more steps when
         one is open, else the single-step rule.
 
-        In Cold or Sleep a coarse stretch runs up to the earliest of the
-        window end, the span's bound (the wake-up and t_end, see _plan) and
-        one wake period (a Cold -> Sleep flip inside the stretch schedules no
-        check before that); when it spans two steps or more, every bound is
-        at least a coarse step away, so the single-step rule's step is
-        dt_coarse and is not asked for.  In a check or a cycle phase a fine
+        Steps are checked on the clock they will advance (see _advance).
+        In Cold or Sleep a coarse stretch takes the whole coarse steps
+        before the earliest of the window end and the span's bound (the
+        wake-up and t_end, see _plan), at most one wake period of them (a
+        Cold -> Sleep flip inside the stretch schedules no check before
+        that): one division counts them, and _steps_before recounts when
+        the clock leaves the last of them short of a whole step (a count
+        one short only costs a call).  In a check or a cycle phase a fine
         stretch takes the phase's steps but its last, the one that changes
-        the state (a check's compares v2 with the go threshold), that leave
-        a whole step before t_end and start before the window end (a fine
-        step is never cut short there), counted on the clock the steps will
-        advance.  With stop_stored_j set, either kind also ends at the last
-        step before which the stored energy provably stays below it.  The
-        offer stands until the clock moves: step() takes that dt as the
+        the state (a check's compares v2 with the go threshold), that are
+        whole before t_end and start before the window end (a fine step is
+        never cut short there), counted by _steps_before.  With
+        stop_stored_j set, either kind also ends at the last step before
+        which the stored energy provably stays below it.
+        The offer stands until the clock moves: step() takes that dt as the
         stretch, or as the single step, without asking the rule again."""
-        t = self.t
-        if t >= self._window_until:
+        if self.t >= self._window_until:
             self._refresh_window()
         until = self._window_until
         sm = self.sm
+        n = 0
         if not sm.state.fine:
-            if until > t:
-                dt = self._dtc
-                plan = self._span
-                if plan is None or plan[0] != dt:
-                    plan = self._span = self._plan(dt)
-                bound = plan[1]
-                span = (until if until < bound else bound) - t
-                if self._wake < span:
-                    span = self._wake
-                if self._stop is not None:
-                    span = self._stored_span(span, dt)
-                n = math.floor(span / dt)
-                if n > 1:
-                    dt *= n
-                    self._offer = (dt, n)
-                    return dt
-        elif sm.phase_steps_left > 2:
-            dt = self._substep_dt()
-            # Each addition of dt to the clock rounds by at most 2**-53 of
-            # t_end; h allows four times that, and the partial step floor()
-            # drops leaves room for the roundings of span.
-            h = dt + 2.0 ** -51 * self._t_end
-            span = self._t_end - t - dt
-            if self._stop is not None:
-                span = self._stored_span(span, dt)
-            n = min(math.floor(span / h), sm.phase_steps_left - 1)
-            if until - t < n * h:  # the window may end first: count its steps
-                j, tj = 0, t
-                while j < n and tj < until:
-                    j, tj = j + 1, tj + dt
-                n = j
+            dt = self._dtc
+            plan = self._span
+            if plan is None or plan[0] != dt:
+                plan = self._span = self._plan(dt)
+            bound = plan[1]
+            if until < bound:
+                bound = until
+            span = bound - self.t
+            if self._wake < span:
+                span = self._wake
+            n = math.floor(span / dt)
             if n > 1:
-                dt *= n
-                self._offer = (dt, n)
-                return dt
+                t_a, j = (self._t_a, self._j) if dt == self._dt_a else (self.t, 0)
+                if bound - (t_a + (j + n - 1) * dt) < dt:
+                    n = self._steps_before(bound, dt, dt)
+        elif sm.phase_steps_left > 2:
+            dt = self.scenario.engine.dt_fine
+            n = min(self._steps_before(self._t_end, dt, dt), sm.phase_steps_left - 1)
+            if until < self._t_end:
+                n = min(n, self._steps_before(until, dt, _ANY_TIME))
+        if n > 1 and self._stop is not None:
+            n = min(n, self._stored_steps(dt))
+        if n > 1:
+            dt *= n
+            self._offer = (dt, n)
+            return dt
         dt = self._substep_dt()
         self._offer = (dt, 1)
         return dt
 
-    def _stored_span(self, span: float, dt: float) -> float:
-        """span cut to the steps of dt before which the stored energy
-        provably stays below stop_stored_j."""
+    def _steps_before(self, bound: float, dt: float, left: float) -> int:
+        """How many steps of dt from t start with at least left before
+        bound on the clock they advance (see _advance): the count of
+        i >= 0 for which bound - (t_a + (j + i) dt) >= left.  That
+        difference falls with i, so one floor division places the count
+        and the clock itself settles it.  left = _ANY_TIME counts the
+        steps that start before bound."""
+        if dt == self._dt_a:
+            t_a, j = self._t_a, self._j
+        else:  # the first step re-anchors at t
+            t_a, j = self.t, 0
+        m = math.floor((bound - left - t_a) / dt) + 1  # j + the count, up to rounding
+        if m < j:
+            m = j
+        while m > j and bound - (t_a + (m - 1) * dt) < left:
+            m -= 1
+        while bound - (t_a + m * dt) >= left:
+            m += 1
+        return m - j
+
+    def _advance(self, dt: float, k: int) -> None:
+        """Move the clock k steps of dt: t = t_a + j dt, one rounding from
+        the anchor t_a, re-anchored at t whenever dt changes."""
+        if dt != self._dt_a:
+            self._t_a, self._j, self._dt_a = self.t, 0, dt
+        j = self._j = self._j + k
+        self.t = self._t_a + j * dt
+
+    def _stored_steps(self, dt: float) -> int:
+        """The steps of dt before which the stored energy provably stays
+        below stop_stored_j."""
         # Per-step bound on harvested energy: ideal coupling deposits
         # exactly p_ideal * dt; the thevenin charge current is at most
         # v_oc / r_out at a midpoint voltage below v_oc plus half its rise.
@@ -652,7 +642,7 @@ class Engine:
         stop = self._stop
         noise = 1e-12 * (stop + self.ledger.e_initial)  # stored-energy rounding a step
         room = stop - self.ledger.e_stored_delta - noise
-        return min(span, room / (gain + noise) * dt)
+        return math.floor(room / (gain + noise))
 
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt.
@@ -662,12 +652,13 @@ class Engine:
         a check or cycle exactly it; any other dt raises before anything
         moves.  A stretch's steps are sized by the single-step rule.  Runs
         of quiet ones are closed-form macro-steps (_quiet); a pump episode's
-        steps, a cycle phase's and the rest go to _step_one.  A coarse
-        stretch crosses no window end and reaches no check, so it advances
-        exactly dt (up to the rounding of the clock) at one source level; a
-        fine one starts no step at or past the window end and ends early
-        only on the step that changes the state: a brown-out in a check, an
-        abort in a cycle.
+        steps, a cycle phase's and the rest go to _step_one.  Every step
+        moves the one clock (_advance), so a stretch ends on the t its
+        steps taken one per call reach.  A coarse stretch crosses no window
+        end and reaches no check, so it advances dt (up to the clock's one
+        rounding) at one source level; a fine one starts no step at or past
+        the window end and ends early only on the step that changes the
+        state: a brown-out in a check, an abort in a cycle.
         """
         if not dt > 0:
             raise QuantityError(f"dt must be positive, got {dt!r}")
@@ -716,37 +707,34 @@ class Engine:
         """Take up to n quiet steps of dt as one closed-form macro-step;
         return how many were taken (0: the next step goes to _step_one).
 
-        The caller guarantees Cold, Sleep or a check, and in a check that
-        the n steps start before the window end, fit before t_end and leave
-        the check's last step, which compares v2 with the go threshold.  A
-        step is quiet when the monitor keeps its state, the pump cannot act
-        and neither cap clamps at 0 V.  Within one window each cap then
-        follows v <- a v + b, the Euler step of _step_one: cap1 charges
-        through the Thevenin pair while v1 < v_oc and only leaks at or above
-        it (under ideal coupling v1**2 follows the law), cap2 leaks and
-        feeds the monitor, asleep or checking.  What the span fixes comes
-        from its plan (_plan); per call only cap1's laws, which take the
-        window's level, cap2's step, the clock and the booking are worked
-        out.  _affine gives the state after k steps and the sums the ledger
-        books.
+        The caller guarantees Cold, Sleep or a check, and that the n steps
+        are whole steps of the single-step rule inside one window (see
+        _pick_dt), in a check leaving its last step, which compares v2 with
+        the go threshold.  A step is quiet when the monitor keeps its state,
+        the pump cannot act and neither cap clamps at 0 V.  Within one
+        window each cap then follows v <- a v + b, the Euler step of
+        _step_one: cap1 charges through the Thevenin pair while v1 < v_oc
+        and only leaks at or above it (under ideal coupling v1**2 follows
+        the law), cap2 leaks and feeds the monitor, asleep or checking.
+        What the span fixes comes from its plan (_plan); per call only
+        cap1's laws, which take the window's level, cap2's step, the clock
+        and the booking are worked out.  _affine gives the state after k
+        steps and the sums the ledger books.
         _first_hit ends the macro-step where cap2 would brown the monitor
         out or cap1 reach the pump's start_v; it also finds the step that
-        takes cap1 below v_oc, where its law switches.  In Cold or Sleep
-        _bound_steps then ends it where the single-step rule would cut a
-        step short.  The clock is computed once, for the steps taken.  A
-        law with a <= 0 could ring through 0 V, so its steps go to
-        _step_one.  A run with a trace file gets a row per step, read from
-        the same laws; the state never depends on it.  The ledger guard
-        runs once, at the end.
+        takes cap1 below v_oc, where its law switches.  The clock moves
+        once, by the steps taken (_advance).  A law with a <= 0 could ring
+        through 0 V, so its steps go to _step_one.  A run with a trace file
+        gets a row per step, read from the same laws; the state never
+        depends on it.  The ledger guard runs once, at the end.
         """
         plan = self._span
         if plan is None or plan[0] != dt:
             plan = self._span = self._plan(dt)
-        (_, bound, quiet, x1, xc, bmul, x2, two_x2, b2, c_mon, kind, c_leak1, c_leak2,
-         watch, lo, powered, check, exact, dt_den) = plan
+        (_, _, quiet, x1, xc, bmul, x2, two_x2, b2, c_mon, kind, c_leak1, c_leak2,
+         watch, lo, powered, check) = plan
         if not quiet:
             return 0
-        t0 = self.t
         v1, v2 = self.v1, self.v2
         k = n
         cap2 = _affine(x2, b2, v2, k)
@@ -806,27 +794,13 @@ class Engine:
                 break
         if not k:
             return 0
-        if not exact:  # the plan's test failed: whether t0 + j dt is exact for j <= k
-            t_den = 1 if t0 % 1.0 == 0.0 else t0.as_integer_ratio()[1]
-            exact = (t0 + k * dt) * (t_den if t_den > dt_den else dt_den) < 2.0 ** 53
-        if check:
-            t = _clock(t0, dt, k, exact)
-        else:
-            if self._window_until < bound:
-                bound = self._window_until
-            dtc = self._dtc
-            if exact and (k == 1 or not bound - (t0 + (k - 1) * dt) < dtc):
-                t = t0 + k * dt  # bound - t_j falls with j: no earlier step is cut
-            else:
-                kb, t = _bound_steps(t0, dt, k, bound, dtc, exact)
-                if kb < k:  # the stretch bound comes first, and no event before it
-                    return self._quiet(kb, dt)
+        self._advance(dt, k)
         v1k = y if thevenin else math.sqrt(y)
         v2k, s2, ss2 = cap2 if k == n else _affine(x2, b2, v2, k)
         c1 = self.c1
         led = self.ledger
         if self._trace is not None:
-            self._trace_rows(taken, thevenin, t0, dt, v1, v2, 1.0 - x2, b2, grow,
+            self._trace_rows(taken, thevenin, v1, v2, 1.0 - x2, b2, grow,
                              (c_leak1, c_leak2, c_mon, e_front))
         hc1 = 0.5 * c1
         harvested, front, leaked, mon = _quiet_book(
@@ -843,10 +817,10 @@ class Engine:
             by = led.e_load_by_component
             by[kind] = by.get(kind, 0.0) + mon
             led.e_load_total += mon
-        self.t, self.v1, self.v2 = t, v1k, v2k
+        self.v1, self.v2 = v1k, v2k
         if self._trace is not None:
             self._trace.write(_TRACE_ROW % (
-                t, self._window_dbm, v1k, v2k, self.sm.state.value, led.e_harvested,
+                self.t, self._window_dbm, v1k, v2k, self.sm.state.value, led.e_harvested,
                 led.e_converter_loss + led.e_load_total, led.e_leaked,
             ))
         led.e_stored_delta = 0.5 * (c1 * v1k * v1k + self.c2 * v2k * v2k) - led.e_initial
@@ -862,14 +836,15 @@ class Engine:
         led.check()
         return k
 
-    def _trace_rows(self, laws, thevenin, t, dt, v1, v2, a2, b2, grow, coefs):
-        """Write the rows of a macro-step's steps but its last: cap1 steps
-        through laws (under ideal coupling as v1**2), cap2 through (a2, b2),
-        and the running sums go to the macro-step's own booking rule,
-        _quiet_book with coefs.  The level and the state columns are the
-        same in every row, so the row template holds them formatted, and
-        the consumed energy column keeps its string while its value
-        repeats (it does in every Cold row)."""
+    def _trace_rows(self, laws, thevenin, v1, v2, a2, b2, grow, coefs):
+        """Write the rows of a macro-step's steps but its last, once the
+        clock has moved over them: each row's t is read from the anchor,
+        cap1 steps through laws (under ideal coupling as v1**2), cap2
+        through (a2, b2), and the running sums go to the macro-step's own
+        booking rule, _quiet_book with coefs.  The level and the state
+        columns are the same in every row, so the row template holds them
+        formatted, and the consumed energy column keeps its string while
+        its value repeats (it does in every Cold row)."""
         led = self.ledger
         row = "%%.6f,%.6g,%%.10g,%%.10g,%s,%%.10g,%%s,%%.10g\n" % (
             self._window_dbm, self.sm.state.value)
@@ -882,12 +857,13 @@ class Engine:
         j = 0
         used = used_s = None
         last = sum(steps for _, _, steps in laws) - 1
+        t_a, dt, j0 = self._t_a, self._dt_a, self._j - last - 1
         write = self._trace.write
         for x, b, steps in laws:
             a = 1.0 - x
             for _ in range(min(steps, last - j)):
                 j += 1
-                t += dt
+                t = t_a + (j0 + j) * dt
                 yn = a * y + b
                 q1 += y * (y + yn) if thevenin else y + grow
                 y = yn
@@ -951,6 +927,7 @@ class Engine:
         e2_before = 0.5 * c2 * v2 * v2
         i_draw = 0.0
         draws: tuple[tuple[str, float], ...] = ()
+        event = ""
         if sc.management.loads_enabled:
             sm = self.sm
             mon = sc.management.monitor
@@ -963,8 +940,6 @@ class Engine:
                 )
                 if event == "done":
                     self.transmissions += 1
-                    if self.time_to_first_tx is None:
-                        self.time_to_first_tx = t + dt
                 elif event == "abort":
                     self.aborted_cycles += 1
             i_draw = i_mon
@@ -993,7 +968,9 @@ class Engine:
             led.unbooked += 1  # only the monitor draws, if anything: nothing books v2's rounding
         self.v2 = v2
 
-        self.t = t + dt
+        self._advance(dt, 1)
+        if event == "done" and self.time_to_first_tx is None:
+            self.time_to_first_tx = self.t
         self._span = None  # the state, the wake-up or the pump may have moved
         led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - led.e_initial
         led.steps += 1

@@ -5,8 +5,11 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfharvest.analog_frontend import (
     ReflectionModel,
@@ -30,7 +33,7 @@ from rfharvest.errors import LedgerError, QuantityError, ScenarioError, TraceErr
 from rfharvest.power_mgmt import MonitorConfig, NodeState
 from rfharvest.quantities import dbm_to_watts
 from rfharvest.rf_environment import ConstantSource, FluctuatingSource, TraceSource
-from rfharvest.scenario import parse_scenario
+from rfharvest.scenario import load_scenario, parse_scenario
 from rfharvest.storage import DcDcConverter, Supercap, TransferPolicy
 
 PRESET = builtin_frontend_presets()["zerovt_100MHz"]
@@ -594,8 +597,8 @@ def test_step_calls_stay_inside_their_window(monkeypatch):
     changes the delivered power, a coarse one ends at or before the end of
     the window it started in, and no step of a stretch starts at or past
     it.  So a cycle stretch stops where the window ends (the hot scenario
-    under a 5 s dwell), and so does every call of realistic_default over
-    its first 100,000 s."""
+    under a 5 s dwell), its last step ending on or past it, and so does
+    every call of realistic_default over its first 100,000 s."""
     calls = _recorded_windows(monkeypatch)
     starts = []
     step_one = Engine._step_one
@@ -617,7 +620,8 @@ def test_step_calls_stay_inside_their_window(monkeypatch):
         assert all(t < until for t, until in starts)
     cycle = [(t_after, until) for t, dt, t_after, state, until, *_ in calls
              if state.cycle and dt > 1e-3]
-    assert len(cycle) >= 4 and any(t_after > until for t_after, until in cycle)  # a last step straddles it
+    # a stretch's last step starts before the window end and reaches it
+    assert len(cycle) >= 4 and any(0.0 <= t_after - until < 1e-3 for t_after, until in cycle)
 
 
 def test_check_stretch_runs_to_the_window_end(monkeypatch):
@@ -1095,3 +1099,75 @@ def test_affine_closed_form_matches_exact_steps(x, b):
         scale = (y0 + k * abs(b), k * y0, k * y0 * y0)
         for value, want, size in zip(got, (y, sum1, sum2), scale):
             assert value == pytest.approx(float(want), rel=1e-13, abs=1e-15 * size), (k, value)
+
+
+def test_event_times_land_on_the_fine_grid():
+    """The benchmark's cycle_burst workload checks and cycles at 1 ms from
+    anchors on whole-second wake-ups and window ends, so its first
+    transmission and its tenth, which ends the run, land within 2 ulps of
+    the 1 ms grid."""
+    scenarios = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios"
+    res = run_scenario(load_scenario(str(scenarios / "cycle_burst.scenario")).scenario)
+    assert (res.stop_reason, res.transmissions) == ("transmissions", 10)
+    for got, want in ((res.time_to_first_transmission, 138.002), (res.t_final, 1218.002)):
+        assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+
+
+@given(
+    st.sampled_from([1.0, 0.7, 0.25, 1e-3]),
+    st.integers(min_value=0, max_value=10**6),  # steps since the anchor
+    st.one_of(st.integers(min_value=0, max_value=10**6), st.floats(0.0, 1e6)),
+    st.integers(min_value=0, max_value=40),  # steps from the clock to the bound
+    st.sampled_from(["on", "ulp_above", "ulp_below", "inside"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_steps_before_counts_as_the_clock_steps(dt, j, anchor, ahead, where, part, whole,
+                                                reanchor):
+    """Engine._steps_before against a brute-force walk over the same
+    anchored clock, with the anchor on the grid of dt (an int multiple) or
+    off it and the bound exactly on a step's clock, one ulp either side of
+    it, or inside a step (less than one step past it).  When the clock
+    last stepped another dt, the steps re-anchor at t."""
+    t_a = anchor * dt if isinstance(anchor, int) else anchor
+    eng = Engine(_hot_scenario())
+    eng._t_a, eng._j, eng._dt_a = t_a, j, 2.5 if reanchor else dt
+    eng.t = t_a + j * dt
+    bound = t_a + (j + ahead) * dt
+    if where == "ulp_above":
+        bound = math.nextafter(bound, math.inf)
+    elif where == "ulp_below":
+        bound = math.nextafter(bound, -math.inf)
+    elif where == "inside":
+        bound += part * dt
+    left = dt if whole else engine_module._ANY_TIME
+    if reanchor:
+        t_a, j = eng.t, 0
+    want = 0
+    while bound - (t_a + (j + want) * dt) >= left:
+        want += 1
+    assert eng._steps_before(bound, dt, left) == want
+
+
+@pytest.mark.parametrize("dt, t_a, j, bound", [
+    (0.7, 0.0, 47246, 33080.6),
+    (0.3, 55645.432, 13107, 59585.032),
+    (0.7, 63077.184, 67711, 110516.184),
+])
+def test_coarse_stretch_holds_only_the_steps_the_clock_keeps_whole(dt, t_a, j, bound):
+    """Where one division of the span by dt counts a step more than the
+    anchored clock keeps whole before the bound (t_end here), the coarse
+    stretch takes only the whole ones: the single-step rule would cut the
+    last one short."""
+    scn = _ideal_scenario(None, t_end=bound)
+    eng = Engine(replace(scn, engine=replace(scn.engine, dt_coarse=dt)))
+    eng._t_a, eng._j, eng._dt_a = t_a, j, dt
+    eng.t = t_a + j * dt
+    whole = 0
+    while bound - (t_a + (j + whole) * dt) >= dt:
+        whole += 1
+    assert math.floor((bound - eng.t) / dt) == whole + 1
+    eng._pick_dt()
+    assert eng._offer[1] == whole
