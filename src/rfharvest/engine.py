@@ -362,8 +362,8 @@ def _quiet_book(c_leak1: float, c_leak2: float, c_mon: float, e_front: float,
 class Engine:
     """One simulation run: single-use, strictly sequential.
 
-    Construct with a scenario, then call run() once; step(dt) advances a
-    single step for fine-grained inspection, or a stretch of many (see
+    Construct with a scenario, then call run() once, or step(_pick_dt())
+    for fine-grained inspection: a single step or a stretch of many (see
     _pick_dt).  Capacitor state lives in plain float attributes; only
     the converters and load switches are records.
     """
@@ -439,7 +439,7 @@ class Engine:
 
         self._span: tuple | None = None  # the quiet span's plan (see _plan)
         self._trace = None  # open trace CSV while run() writes one row per step
-        self._offer: tuple = _NO_OFFER  # _pick_dt's (dt, steps), until the clock moves
+        self._offer: tuple = _NO_OFFER  # _pick_dt's (dt, steps), until step() takes it
 
         self.transmissions = 0
         self.aborted_cycles = 0
@@ -562,8 +562,8 @@ class Engine:
         never cut short there), counted by _steps_before.  With
         stop_stored_j set, either kind also ends at the last step before
         which the stored energy provably stays below it.
-        The offer stands until the clock moves: step() takes that dt as the
-        stretch, or as the single step, without asking the rule again."""
+        The offer stands until step() takes it, and step() takes no other
+        dt: _pick_dt is the one owner of step sizes."""
         if self.t >= self._window_until:
             self._refresh_window()
         until = self._window_until
@@ -645,49 +645,32 @@ class Engine:
         return math.floor(room / (gain + noise))
 
     def step(self, dt: float) -> None:
-        """Advance the pipeline by dt.
-
-        dt is the stretch or the single step _pick_dt offered at this t, or
-        one step no longer than the single-step rule's (_substep_dt) and in
-        a check or cycle exactly it; any other dt raises before anything
-        moves.  A stretch's steps are sized by the single-step rule.  Runs
-        of quiet ones are closed-form macro-steps (_quiet); a pump episode's
-        steps, a cycle phase's and the rest go to _step_one.  Every step
-        moves the one clock (_advance), so a stretch ends on the t its
-        steps taken one per call reach.  A coarse stretch crosses no window
-        end and reaches no check, so it advances dt (up to the clock's one
-        rounding) at one source level; a fine one starts no step at or past
-        the window end and ends early only on the step that changes the
-        state: a brown-out in a check, an abort in a cycle.
+        """Advance the pipeline by dt, the stretch or the single step
+        _pick_dt offered at this t; any other dt, or an offer already
+        taken, raises before anything moves.  A stretch's steps are sized
+        by the single-step rule.  Runs of quiet ones are closed-form
+        macro-steps (_quiet); a pump episode's steps, a cycle phase's and
+        the rest go to _step_one.  Every step moves the one clock
+        (_advance), so a stretch ends on the t its steps taken one per call
+        reach.  A coarse stretch crosses no window end and reaches no
+        check, so it advances dt (up to the clock's one rounding) at one
+        source level; a fine one starts no step at or past the window end
+        and ends early only on the step that changes the state: a brown-out
+        in a check, an abort in a cycle.
         """
-        if not dt > 0:
-            raise QuantityError(f"dt must be positive, got {dt!r}")
-        offer = self._offer
-        if dt == offer[0]:
-            n = offer[1]
-        else:
-            dtc = self._dtc
-            if dt > dtc:
-                raise QuantityError(
-                    f"dt {dt!r} exceeds dt_coarse {dtc!r} and is not the stretch "
-                    f"_pick_dt offered at t = {self.t!r}"
-                )
-            sub = self._substep_dt()
-            if dt > sub or (dt != sub and self.sm.state.fine):
-                raise QuantityError(
-                    f"dt {dt!r} breaks the single-step rule at t = {self.t!r}: "
-                    f"the step there is {sub!r}"
-                    + (" exactly" if self.sm.state.fine else " or shorter")
-                )
-            n = 1
+        dt_offer, n = self._offer
+        if not (dt > 0 and dt == dt_offer):
+            raise QuantityError(
+                f"dt {dt!r} is not the step _pick_dt offered at t = {self.t!r} "
+                f"({'none stands' if dt_offer is None else repr(dt_offer)})"
+            )
         self._offer = _NO_OFFER
         if n == 1:
             self._step_one(dt)
             return
         state = self.sm.state
         fine = state.fine
-        dtc = self._dtc
-        sub = self.scenario.engine.dt_fine if fine else dtc  # as _pick_dt sized it
+        sub = self.scenario.engine.dt_fine if fine else self._dtc  # as _pick_dt sized it
         while True:
             pumping = self.conv1.running and self._pump
             k = 0 if state.cycle or pumping else self._quiet(n, sub)
@@ -700,8 +683,6 @@ class Engine:
                     return
             if n <= 0:
                 return
-            if not fine:  # every coarse step of the stretch but its last is whole
-                sub = dtc if n > 1 else self._substep_dt()
 
     def _quiet(self, n: int, dt: float) -> int:
         """Take up to n quiet steps of dt as one closed-form macro-step;

@@ -449,7 +449,7 @@ def run_cycle(
     state_before = sm.state
     while sm.state.cycle:
         state_before = sm.state
-        eng.step(dt)
+        eng.step(eng._pick_dt())
     led = eng.ledger
     return (
         CycleReport(

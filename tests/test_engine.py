@@ -695,12 +695,13 @@ def test_delivered_rf_sums_the_source_windows(coupling):
 
 
 def _run_single_steps(scn: Scenario) -> tuple:
-    """run()'s loop with every call one step of the single-step rule."""
+    """run()'s loop with every step one step of the single-step rule,
+    taken on its own (_step_one)."""
     eng = Engine(scn)
     cfg = scn.engine
     stop_reason = "t_end"
     while eng.t < cfg.t_end - 1e-12:
-        eng.step(eng._substep_dt())
+        eng._step_one(eng._substep_dt())
         if cfg.max_transmissions is not None and eng.transmissions >= cfg.max_transmissions:
             stop_reason = "transmissions"
             break
@@ -827,7 +828,7 @@ def test_trace_rows_follow_single_steps(scn, tmp_path):
     eng = Engine(scn)
     want = []
     while eng.t < scn.engine.t_end - 1e-12:
-        eng.step(eng._substep_dt())
+        eng._step_one(eng._substep_dt())
         led = eng.ledger
         want.append((eng.t, eng.sm.state.value, eng.v1, eng.v2, led.e_harvested,
                      led.e_converter_loss + led.e_load_total, led.e_leaked))
@@ -913,35 +914,25 @@ def _at_sleep_wake_up():
     )
 
 
-def _stale_offer():
-    """A stretch offered at t, asked for after one single step."""
-    eng = Engine(_ideal_scenario(None, t_end=1000.0))
-    dt = eng._pick_dt()
-    assert dt > 1.0
-    eng.step(1.0)
+def _offered(eng: Engine, dt: float):
+    """The engine with _pick_dt's offer standing, and a dt it does not take."""
+    eng._pick_dt()
     return eng, dt
 
 
-@pytest.mark.parametrize("setup", [
-    lambda: (_cold_at_60s(), 600.0),  # ten 60 s source windows
-    lambda: (_at_sleep_wake_up(), 100.0),  # a check is due first
-    lambda: (_cold_at_60s(), math.inf),
-    _stale_offer,
-], ids=["cold_across_windows", "sleep_wake_up", "inf", "stale_offer"])
-def test_step_rejects_a_long_dt_that_was_not_offered(setup):
-    """Above dt_coarse, step() takes only the stretch _pick_dt offered at
-    the current t; anything else raises before the engine moves."""
-    eng, dt = setup()
-    before = repr((eng.t, eng.v1, eng.v2, vars(eng.ledger)))
-    with pytest.raises(QuantityError, match="not the stretch"):
-        eng.step(dt)
-    assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger))) == before
+def _stale_offer():
+    """A stretch offered at t and stepped, asked for again."""
+    eng = _cold_at_60s()
+    dt = eng._pick_dt()
+    assert dt > 1.0
+    eng.step(dt)
+    return eng, dt
 
 
 def _at_a_window_end():
     """t = 37 s under a 37.3 s dwell: the single step left is 0.3 s."""
     eng = _step_until(Engine(_dwell_cycle()), lambda e: e.t >= 37.0)
-    assert eng.t == 37.0 and eng._substep_dt() == pytest.approx(0.3)
+    assert eng.t == 37.0 and eng._pick_dt() == pytest.approx(0.3)
     return eng, 1.0
 
 
@@ -951,21 +942,32 @@ def _in_a_check():
         Engine(_hot_scenario(max_tx=None, t_end=5000.0)),
         lambda e: e.sm.state is NodeState.CHECK,
     )
-    return eng, 1.0
+    return _offered(eng, 1.0)
 
 
-@pytest.mark.parametrize("setup", [_at_a_window_end, _in_a_check],
-                         ids=["across_a_window_end", "coarse_in_a_check"])
-def test_step_rejects_a_short_dt_the_single_step_rule_does_not_take(setup):
-    """Up to dt_coarse, step() takes at most the single-step rule's dt, and
-    in a check or cycle exactly it; anything else raises before the engine
-    moves, and the rule's own step still goes through."""
+@pytest.mark.parametrize("setup", [
+    lambda: _offered(_cold_at_60s(), 600.0),  # ten 60 s source windows
+    lambda: _offered(_at_sleep_wake_up(), 100.0),  # a check is due first
+    lambda: _offered(_cold_at_60s(), math.inf),
+    _at_a_window_end,
+    _in_a_check,
+    _stale_offer,
+], ids=["cold_across_windows", "sleep_wake_up", "inf", "across_a_window_end",
+        "coarse_in_a_check", "stale_offer"])
+def test_step_takes_only_the_offered_dt(setup):
+    """step() takes only the dt _pick_dt offered at the current t, once:
+    a longer or a shorter one, an offer already taken, 0, -1 and nan raise
+    before the engine moves or the offer goes, and the offered dt then goes
+    through."""
     eng, dt = setup()
-    before = repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm))
-    with pytest.raises(QuantityError, match="single-step rule"):
-        eng.step(dt)
-    assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm)) == before
-    eng.step(eng._substep_dt())
+    before = repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm, eng._offer))
+    for bad in (dt, 0.0, -1.0, math.nan):
+        with pytest.raises(QuantityError, match="not the step _pick_dt offered"):
+            eng.step(bad)
+        assert repr((eng.t, eng.v1, eng.v2, vars(eng.ledger), eng.sm, eng._offer)) == before
+    t = eng.t
+    eng.step(eng._pick_dt())
+    assert eng.t > t
 
 
 def _crossing_cases():
@@ -1041,7 +1043,7 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
     eng = Engine(scn)
     rows = [(eng.t, eng.v1, eng.v2, eng.sm.state.value)]
     while eng.t < scn.engine.t_end - 1e-12 and eng.transmissions < 1:
-        eng.step(eng._substep_dt())
+        eng._step_one(eng._substep_dt())
         rows.append((eng.t, eng.v1, eng.v2, eng.sm.state.value))
     i = next(i for i in range(1, len(rows)) if event(rows[i - 1], rows[i]))
     t_event = rows[i][0]
