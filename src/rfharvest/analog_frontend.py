@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import CalibrationError, QuantityError
-from .quantities import fraction, nonnegative, positive, watts_to_dbm
+from .quantities import dbm_to_watts, fraction, nonnegative, positive, watts_to_dbm
 
 __all__ = [
     "Device",
@@ -222,10 +221,12 @@ def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierPara
     """Fit v_drop so the chain hits the targets.
 
     alpha, r_in and r_out_per_stage keep their RectifierParams defaults, the
-    shared anchors.  v_drop is solved by bracketed bisection on the first
-    target, then every target is verified to within CALIBRATION_TOL_DB.
-    All targets in one call must describe the same device and stage count;
-    distinct operating points get distinct parameter sets.
+    shared anchors.  v_drop is sensitivity_threshold_dbm solved for it at
+    the first target: the drive amplitude at the target power less half the
+    first-stage contribution SENSITIVITY_TARGET_V needs.  Every target is
+    then verified to within CALIBRATION_TOL_DB.  All targets in one call
+    must describe the same device and stage count; distinct operating
+    points get distinct parameter sets.
     """
     if not targets:
         raise CalibrationError("no calibration targets given")
@@ -237,29 +238,15 @@ def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierPara
                 "hardware; calibrate them separately"
             )
     base = RectifierParams(stages=first.stages, device=first.device)
-
-    def residual(v_drop: float) -> float:
-        params = replace(base, v_drop=v_drop)
-        return sensitivity_threshold_dbm(params, first.tank, first.carrier_hz) - first.threshold_dbm
-
-    # The threshold rises with v_drop: the residual is negative at lo and
-    # positive at hi.
-    lo, hi = 0.0, 10.0
-    r_lo, r_hi = residual(lo), residual(hi)
-    if not (r_lo <= 0.0 <= r_hi):
+    v_peak = tank_gain(first.tank, first.carrier_hz) * math.sqrt(
+        2.0 * base.r_in * dbm_to_watts(first.threshold_dbm))
+    v_drop = v_peak - 0.5 * SENSITIVITY_TARGET_V / _stage_sum(base.alpha, base.stages)
+    if not v_drop >= 0.0:
         raise CalibrationError(
-            f"target {first.name!r} ({first.threshold_dbm} dBm) is not "
-            f"bracketed by any v_drop: residuals [{r_lo:+.3f}, {r_hi:+.3f}] dB"
+            f"target {first.name!r} ({first.threshold_dbm} dBm) needs v_drop "
+            f"{v_drop!r} V < 0: with no device drop it reaches 0.5 V at less power"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(residual(lo)) <= 1e-9:
-            break
-    fitted = replace(base, v_drop=lo)
+    fitted = replace(base, v_drop=v_drop)
 
     for t in targets:
         err = sensitivity_threshold_dbm(fitted, t.tank, t.carrier_hz) - t.threshold_dbm
@@ -306,11 +293,11 @@ def preset_targets() -> dict[str, CalibrationTarget]:
     }
 
 
-@lru_cache(maxsize=1)
 def builtin_frontend_presets() -> dict[str, FrontendPreset]:
     """Calibrated parameter sets for the three shipped operating points.
 
-    Recomputed from the targets on first use; v_drop is the fitted knob.
+    Calibrated from the targets on every call, in closed form; v_drop is
+    the fitted knob.
     """
     presets: dict[str, FrontendPreset] = {}
     for name, target in preset_targets().items():

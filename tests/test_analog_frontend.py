@@ -157,6 +157,20 @@ def test_calibrate_contradictory_targets_fail():
         calibrate_sensitivity([t1, t2])
 
 
+def test_calibrate_rejects_a_target_no_device_drop_reaches():
+    """Closed-form v_drop: a threshold 1 dB below the drop-free chain's
+    needs a negative drop and fails; 1 dB above it fits a positive one."""
+    tank = ResonantTank(100e6, 1.0)
+    free = sensitivity_threshold_dbm(RectifierParams(stages=20, v_drop=0.0), tank, 100e6)
+
+    def target(dbm):
+        return CalibrationTarget("a", Device.ZERO_VT_MOSFET, 20, 100e6, tank, dbm)
+
+    with pytest.raises(CalibrationError, match="v_drop"):
+        calibrate_sensitivity([target(free - 1.0)])
+    assert calibrate_sensitivity([target(free + 1.0)]).v_drop > 0.0
+
+
 def test_calibrate_rejects_mixed_hardware_and_no_targets():
     t1 = CalibrationTarget(
         "a", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -18.0

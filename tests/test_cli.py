@@ -134,7 +134,7 @@ def test_run_seeded_rerun_is_byte_identical(tmp_path, capsys):
      "f0699fbeed30800c5164c84cbbd1c772968348aec77622d70bcb19da5cd287fa"),
     # the --seed override and the first pump episode, at 82,852 s
     (["run", "realistic_default", "--seed", "0", "--until", "100000"],
-     "741f59e6740a6e6e5642c62f8dc851963273d85841d5cac4025634a70a9716f8"),
+     "0cdcaf071c08e78f0bd94bd7e2e40768ef18056dd942016f1c62853a346208d7"),
 ], ids=["paper_ideal_1d", "realistic_seed0"])
 def test_run_trace_bytes_are_pinned(tmp_path, capsys, argv, sha256):
     trace = tmp_path / "trace.csv"

@@ -200,7 +200,7 @@ def test_hot_scenario_trace_bytes_are_pinned(tmp_path):
     data = trace.read_bytes()
     assert data.count(b"\n") == 18428
     assert hashlib.sha256(data).hexdigest() == (
-        "41bc02c382ac14aec4f69bea9fc0223072247f9efadc4a7f46835b63c0f318b6"
+        "ca973285a28d352ea7b0f630d21aedac0f7d038489966ba4b5c4697f28f39e4b"
     )
 
 
