@@ -1,6 +1,7 @@
 """Reflection, resonant tank, rectifier chain, and sensitivity calibration."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from rfharvest.analog_frontend import (
     ResonantTank,
     builtin_frontend_presets,
     calibrate_sensitivity,
+    chain_constants,
     chain_open_circuit,
     chain_v_oc,
     delivered_power,
@@ -93,15 +95,18 @@ def test_rectifier_geometric_ladder():
     assert out.r_out == pytest.approx(300.0, rel=1e-12)
     # below the device drop, no output at all
     assert chain_open_circuit(params, tank, 100e6, 0.05 ** 2 / (2.0 * 5000.0)).v_oc == 0.0
+    # alpha = 1: every stage adds the first one's s, so v_oc is linear in the count
+    for n in (1, 2, 3, 8, 25):
+        flat = replace(params, stages=n, alpha=1.0)
+        assert chain_constants(flat, tank, 100e6)[0][3] == n
+        assert chain_open_circuit(flat, tank, 100e6, 0.6 ** 2 / (2.0 * 5000.0)).v_oc == (
+            pytest.approx(1.0 * n, rel=1e-12))
 
 
 def test_marginal_stage_gain_strictly_decreasing():
     base = builtin_frontend_presets()["zerovt_100MHz"].params
     p_del = dbm_to_watts(-37.0)
     tank = builtin_frontend_presets()["zerovt_100MHz"].tank
-    prev = None
-    from dataclasses import replace
-
     v = [
         chain_open_circuit(replace(base, stages=n), tank, 100e6, p_del).v_oc
         for n in range(1, 31)

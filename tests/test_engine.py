@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfharvest.analog_frontend import (
@@ -506,6 +506,34 @@ def _ideal_sleeper():
     )
 
 
+def _lossless_brown_out():
+    """The lossless sleeper with the pump off and a 1 mF reservoir: the
+    monitor drains cap2 in straight lines (x == 0), asleep and checking,
+    through v_min_operate, and the node is Cold from there to 2,000 s."""
+    base = _lossless_sleeper()
+    return replace(
+        base,
+        storage=replace(base.storage,
+                        cap2=Supercap(c=1e-3, v=2.5, r_leak=math.inf, name="cap2"),
+                        conv1=DcDcConverter(enabled=False, v_min_operate=0.3)),
+        engine=replace(base.engine, t_end=2000.0),
+    )
+
+
+def _ideal_pumped_sleeper():
+    """The ideal sleeper at -20 dBm with the pump on and a lossless cap1:
+    v1**2 rises in a straight line (x == 0) to the pump's start voltage,
+    episode after episode."""
+    base = _ideal_sleeper()
+    return replace(
+        base,
+        source=ConstantSource(level_dbm=-20.0),
+        storage=replace(base.storage,
+                        cap1=Supercap(c=0.01234567, v=0.0, r_leak=math.inf, name="cap1"),
+                        conv1=DcDcConverter(enabled=True, v_min_operate=0.3)),
+    )
+
+
 def _with_dt_coarse(scn: Scenario, dt: float) -> Scenario:
     return replace(scn, engine=replace(scn.engine, dt_coarse=dt))
 
@@ -789,6 +817,9 @@ def _oracle_scenarios():
         pytest.param(_pumped_past_v_oc(), id="pumped_past_v_oc"),
         pytest.param(_ideal_sleeper(), id="ideal_sleeper"),
         pytest.param(_drawless_brown_out(), id="drawless_brown_out"),
+        # laws with x == 0 in a run: cap2 browning out, v1**2 reaching start_v
+        pytest.param(_lossless_brown_out(), id="lossless_brown_out"),
+        pytest.param(_ideal_pumped_sleeper(), id="ideal_pumped_sleeper"),
         # checks taken as fine stretches (the sleeping node's end in Sleep,
         # trace_cycle's in a cycle, the random ones' in either)
         pytest.param(_check_across_a_window(), id="check_across_a_window"),
@@ -1101,6 +1132,34 @@ def test_affine_closed_form_matches_exact_steps(x, b):
         scale = (y0 + k * abs(b), k * y0, k * y0 * y0)
         for value, want, size in zip(got, (y, sum1, sum2), scale):
             assert value == pytest.approx(float(want), rel=1e-13, abs=1e-15 * size), (k, value)
+
+
+@given(
+    st.sampled_from([0.0, 1e-9, 2.45e-4, 0.01, 0.3]),
+    st.one_of(st.just(0.0), st.floats(-0.01, 0.01)),
+    st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    st.integers(min_value=1, max_value=200),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=500, deadline=None)
+def test_first_hit_matches_a_brute_force_scan(x, b, y0, k, strict, data):
+    """_first_hit against a scan of _affine's y_j for j = 1..k, with the
+    crossing c on some y_j or one ulp either side of it, a rising law
+    hitting at y >= c (or >) and any other at y <= c (or <), whenever y_k
+    hits: leaking (b = 0), charging and draining laws, x = 0 (r_leak = inf)
+    and d = b - x y0 = 0 (a flat law)."""
+    affine = engine_module._affine
+    j = data.draw(st.integers(min_value=1, max_value=k))
+    c = affine(x, b, y0, j)[0]
+    c = data.draw(st.sampled_from([math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]))
+    if b - x * y0 > 0.0:
+        hit = c.__lt__ if strict else c.__le__
+    else:
+        hit = c.__gt__ if strict else c.__ge__
+    assume(hit(affine(x, b, y0, k)[0]))
+    want = next(i for i in range(1, k + 1) if hit(affine(x, b, y0, i)[0]))
+    assert engine_module._first_hit(x, b, y0, k, c, hit) == want
 
 
 def test_event_times_land_on_the_fine_grid():
