@@ -647,8 +647,9 @@ class Engine:
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt, the stretch or the single step
         _pick_dt offered at this t; any other dt, or an offer already
-        taken, raises before anything moves.  A stretch's steps are sized
-        by the single-step rule.  Runs of quiet ones are closed-form
+        taken, raises before anything moves.  A stretch's steps are whole
+        steps of dt_coarse, or of dt_fine in a check or a cycle phase, as
+        the single-step rule sizes them.  Runs of quiet ones are closed-form
         macro-steps (_quiet); a pump episode's steps, a cycle phase's and
         the rest go to _step_one.  Every step moves the one clock
         (_advance), so a stretch ends on the t its steps taken one per call
@@ -662,7 +663,7 @@ class Engine:
         if not (dt > 0 and dt == dt_offer):
             raise QuantityError(
                 f"dt {dt!r} is not the step _pick_dt offered at t = {self.t!r} "
-                f"({'none stands' if dt_offer is None else repr(dt_offer)})"
+                f"(offered: {dt_offer!r})"
             )
         self._offer = _NO_OFFER
         if n == 1:
