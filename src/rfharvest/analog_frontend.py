@@ -241,6 +241,10 @@ def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierPara
     v_peak = tank_gain(first.tank, first.carrier_hz) * math.sqrt(
         2.0 * base.r_in * dbm_to_watts(first.threshold_dbm))
     v_drop = v_peak - 0.5 * SENSITIVITY_TARGET_V / _stage_sum(base.alpha, base.stages)
+    # A target at the drop-free chain's own threshold comes back through
+    # dBm and the square root a few ulps off v_peak: that is v_drop = 0.
+    if -16 * math.ulp(v_peak) <= v_drop < 0.0:
+        v_drop = 0.0
     if not v_drop >= 0.0:
         raise CalibrationError(
             f"target {first.name!r} ({first.threshold_dbm} dBm) needs v_drop "

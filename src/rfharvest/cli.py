@@ -171,6 +171,8 @@ def format_run_report(bundle: ScenarioBundle, result: SimResult) -> str:
     out.append(
         f"residual:         {led.residual():.3g} J (tolerance {led.tolerance():.3g} J)"
     )
+    ratio = f"{led.e_harvested / led.e_delivered:.2f}" if led.e_delivered > 0.0 else "n/a"
+    out.append(f"harvested / delivered: {ratio}")
 
     if result.t_final > 0.0:
         harv_p = led.e_harvested / result.t_final

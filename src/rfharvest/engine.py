@@ -19,9 +19,11 @@ and the ledger guard.  The model is the per-step one; only rounding moves,
 within 1e-9 of stepping one step per call, and events land on the same
 step.  Traced and untraced runs take the same
 macro-steps; a traced one also writes a row per step, read from the same
-law, and the state never depends on it.  The ledger guard runs once per
-macro-step, so the trace of a run the guard aborts may hold rows up to
-the end of that macro-step.
+law, and the state never depends on it.  A macro-step writes its rows in
+one pass, in chunks of at most _TRACE_CHUNK rows, with the bytes of
+stepping one step per row.  The ledger guard runs once per macro-step,
+so the trace of a run the guard aborts may hold rows up to the end of
+that macro-step.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import islice
 
 from .analog_frontend import (
     RectifierParams,
@@ -98,6 +101,9 @@ __all__ = [
 
 TRACE_HEADER = "t_s,p_avail_dbm,v_cap1,v_cap2,state,e_harvested_j,e_consumed_j,e_leaked_j"
 _TRACE_ROW = "%.6f,%.6g,%.10g,%.10g,%s,%.10g,%.10g,%.10g\n"
+#: Rows per write of a macro-step's trace, which bounds its memory: one
+#: macro-step can span the whole horizon.
+_TRACE_CHUNK = 1024
 
 #: Ledger tolerance as a share of the energy harvested (see EnergyLedger.tolerance).
 LEDGER_REL_TOL = 1e-6
@@ -820,45 +826,67 @@ class Engine:
 
     def _trace_rows(self, laws, thevenin, v1, v2, a2, b2, grow, coefs):
         """Write the rows of a macro-step's steps but its last, once the
-        clock has moved over them: each row's t is read from the anchor,
-        cap1 steps through laws (under ideal coupling as v1**2), cap2
-        through (a2, b2), and the running sums go to the macro-step's own
-        booking rule, _quiet_book with coefs.  The level and the state
-        columns are the same in every row, so the row template holds them
-        formatted, and the consumed energy column keeps its string while
-        its value repeats (it does in every Cold row)."""
+        clock has moved over them, in one pass and at most _TRACE_CHUNK
+        rows per write: each row's t is read from the anchor, cap1 steps
+        through laws (under ideal coupling as v1**2), cap2 through (a2, b2),
+        and the running sums are booked with _quiet_book's expressions in
+        its order, coefs its coefficients, so the bytes are those of
+        _TRACE_ROW.  What holds over the macro-step is decided once: the
+        level and the state, the consumed energy when nothing draws or
+        loses (every Cold row under thevenin coupling), and the clock's
+        format, from integers when the anchor and dt are whole."""
+        c_leak1, c_leak2, c_mon, e_front = coefs
         led = self.ledger
-        row = "%%.6f,%.6g,%%.10g,%%.10g,%s,%%.10g,%%s,%%.10g\n" % (
-            self._window_dbm, self.sm.state.value)
         h0, used0, leaked0 = led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked
-        book = partial(_quiet_book, *coefs)
         hc1 = 0.5 * self.c1
         e10 = hc1 * v1 * v1
         y = v1 if thevenin else v1 * v1
         q1 = q2 = p2 = 0.0
         j = 0
-        used = used_s = None
-        last = sum(steps for _, _, steps in laws) - 1
-        t_a, dt, j0 = self._t_a, self._dt_a, self._j - last - 1
+        left = sum(steps for _, _, steps in laws) - 1
+        t_a, dt, k = self._t_a, self._dt_a, self._j  # the rows are steps k - left .. k - 1
+        # A whole t below 2**53 is exact, and "%.6f" prints it as "%d.000000".
+        if t_a.is_integer() and float(dt).is_integer() and self.t < 2.0 ** 53:
+            t_a, dt = int(t_a), int(dt)
+            stamps = map("%d.000000".__mod__, range(t_a + (k - left) * dt, t_a + k * dt, dt))
+        else:
+            stamps = map("%.6f".__mod__, map(t_a.__add__, map(dt.__mul__, range(k - left, k))))
+        # With nothing drawn or lost the front-end and monitor terms are
+        # zeros in every row: the consumed column prints used0, and
+        # harvested skips adding a zero (h0 + x prints the same).
+        still = c_mon == 0.0 and e_front == 0.0
+        row = "%%s,%.6g,%%.10g,%%.10g,%s,%%.10g,%s,%%.10g\n" % (
+            self._window_dbm, self.sm.state.value, "%.10g" % used0 if still else "%.10g")
+        sqrt = math.sqrt
         write = self._trace.write
         for x, b, steps in laws:
             a = 1.0 - x
-            for _ in range(min(steps, last - j)):
-                j += 1
-                t = t_a + (j0 + j) * dt
-                yn = a * y + b
-                q1 += y * (y + yn) if thevenin else y + grow
-                y = yn
-                v1j = y if thevenin else math.sqrt(y)
-                v2n = a2 * v2 + b2
-                q2 += v2 * (v2 + v2n)
-                p2 += v2 + v2n
-                v2 = v2n
-                harvested, front, leaked, mon = book(hc1 * v1j * v1j - e10, q1, q2, p2, j)
-                u = used0 + front + mon
-                if u != used:
-                    used, used_s = u, "%.10g" % u
-                write(row % (t, v1j, v2, h0 + harvested, used_s, leaked0 + leaked))
+            steps = min(steps, left)
+            left -= steps
+            while steps > 0:
+                n = min(steps, _TRACE_CHUNK)
+                steps -= n
+                cells = []
+                add = cells.extend
+                for stamp in islice(stamps, n):
+                    yn = a * y + b
+                    q1 += y * (y + yn) if thevenin else y + grow
+                    y = yn
+                    v1j = y if thevenin else sqrt(y)
+                    v2n = a2 * v2 + b2
+                    q2 += v2 * (v2 + v2n)
+                    leak1 = c_leak1 * q1
+                    leaked = leaked0 + (leak1 + c_leak2 * q2)
+                    if still:
+                        add((stamp, v1j, v2n, h0 + (hc1 * v1j * v1j - e10 + leak1), leaked))
+                    else:
+                        j += 1
+                        front = j * e_front
+                        p2 += v2 + v2n
+                        add((stamp, v1j, v2n, h0 + (hc1 * v1j * v1j - e10 + leak1 + front),
+                             used0 + front + c_mon * p2, leaked))
+                    v2 = v2n
+                write((row * n) % tuple(cells))
 
     def _step_one(self, dt: float) -> None:
         """Advance the whole pipeline exactly one step of size dt."""

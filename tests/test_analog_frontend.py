@@ -164,7 +164,9 @@ def test_calibrate_contradictory_targets_fail():
 
 def test_calibrate_rejects_a_target_no_device_drop_reaches():
     """Closed-form v_drop: a threshold 1 dB below the drop-free chain's
-    needs a negative drop and fails; 1 dB above it fits a positive one."""
+    needs a negative drop and fails; 1 dB above it fits a positive one,
+    and the drop-free chain's own threshold fits v_drop = 0, not the
+    -2.8e-17 V its rounding gives."""
     tank = ResonantTank(100e6, 1.0)
     free = sensitivity_threshold_dbm(RectifierParams(stages=20, v_drop=0.0), tank, 100e6)
 
@@ -174,6 +176,7 @@ def test_calibrate_rejects_a_target_no_device_drop_reaches():
     with pytest.raises(CalibrationError, match="v_drop"):
         calibrate_sensitivity([target(free - 1.0)])
     assert calibrate_sensitivity([target(free + 1.0)]).v_drop > 0.0
+    assert calibrate_sensitivity([target(free)]).v_drop == 0.0
 
 
 def test_calibrate_rejects_mixed_hardware_and_no_targets():

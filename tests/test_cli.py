@@ -92,6 +92,26 @@ def test_run_shipped_ideal_scenario_tenth_scale(capsys):
     assert "18.56" in out
 
 
+@pytest.mark.parametrize("argv, text, ratio", [
+    # ideal coupling at efficiency 1: every delivered joule is harvested
+    (["run", "paper_ideal", "--until", "86400"], None, "1.00"),
+    # the thevenin pair harvests 21.6 times the RF that crosses the antenna
+    (["run", "realistic_default"], None, "21.60"),
+    # a fully reflecting antenna delivers nothing
+    (["run", "dark.scenario"],
+     "[frontend]\ngamma_sq = 1.0\n\n[engine]\nt_end_s = 3600\n", "n/a"),
+], ids=["paper_ideal", "realistic_default", "nothing_delivered"])
+def test_run_report_prints_harvested_over_delivered(tmp_path, capsys, monkeypatch,
+                                                    argv, text, ratio):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / argv[1]).write_text(text)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    ledger = out.split("== Energy ledger ==")[1]
+    assert re.search(rf"^harvested / delivered: {re.escape(ratio)}$", ledger, re.MULTILINE)
+
+
 def test_run_completes_a_duty_cycle(tmp_path, capsys):
     scn = _write(tmp_path, "hot.scenario", (
         "[source]\ntype = constant\nlevel_dbm = -20.0\n\n"
@@ -128,19 +148,64 @@ def test_run_seeded_rerun_is_byte_identical(tmp_path, capsys):
     assert out3 != out1
 
 
+_PAPER_IDEAL_1D = "f0699fbeed30800c5164c84cbbd1c772968348aec77622d70bcb19da5cd287fa"
+
+# A sleeping node on a 0.7 s coarse step: the clock is never whole, and
+# the monitor's draw moves the consumed column in every row.
+_SLEEP_07 = (
+    "[source]\ntype = constant\nlevel_dbm = -30.0\n\n"
+    "[storage]\ncap2_v0 = 2.2\n\n"
+    "[engine]\ndt_coarse_s = 0.7\nt_end_s = 2000\n"
+)
+
+
 @pytest.mark.parametrize("argv, sha256", [
     # ideal coupling, constant source, pump and loads off
-    (["run", "paper_ideal", "--until", "86400"],
-     "f0699fbeed30800c5164c84cbbd1c772968348aec77622d70bcb19da5cd287fa"),
+    (["run", "paper_ideal", "--until", "86400"], _PAPER_IDEAL_1D),
     # the --seed override and the first pump episode, at 82,852 s
     (["run", "realistic_default", "--seed", "0", "--until", "100000"],
      "0cdcaf071c08e78f0bd94bd7e2e40768ef18056dd942016f1c62853a346208d7"),
-], ids=["paper_ideal_1d", "realistic_seed0"])
-def test_run_trace_bytes_are_pinned(tmp_path, capsys, argv, sha256):
+    # 2,858 Sleep rows at 0.7 s steps
+    (["run", "sleep_07.scenario"],
+     "5be25d1be5fc0735d7f9422a35554039d78b49b2460ba884e439c167d2969aba"),
+], ids=["paper_ideal_1d", "realistic_seed0", "sleep_dt07"])
+def test_run_trace_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, sha256):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sleep_07.scenario").write_text(_SLEEP_07)
     trace = tmp_path / "trace.csv"
     code, _, _ = _run(capsys, argv + ["--trace", str(trace)])
     assert code == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
+
+
+def test_trace_rows_are_written_in_bounded_chunks(tmp_path, capsys, monkeypatch):
+    """paper_ideal to one day is one macro-step of 86,400 rows; the trace
+    file never gets more than _TRACE_CHUNK rows in one write, so a
+    macro-step over the whole horizon holds only a chunk in memory, and
+    the bytes are the pinned ones."""
+    rows_per_write = []
+
+    class Spy:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, text):
+            rows_per_write.append(text.count("\n"))
+            return self._fh.write(text)
+
+        def close(self):
+            self._fh.close()
+
+    monkeypatch.setattr(engine_module, "open", lambda *a, **k: Spy(open(*a, **k)),
+                        raising=False)
+    trace = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["run", "paper_ideal", "--until", "86400",
+                               "--trace", str(trace)])
+    assert code == 0
+    assert sum(rows_per_write) == 86401  # the header and a row per step
+    assert max(rows_per_write) <= engine_module._TRACE_CHUNK <= 10_000
+    assert len(rows_per_write) < 86401 // 100  # rows go in chunks, not one by one
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == _PAPER_IDEAL_1D
 
 
 def test_run_warns_when_monitor_outdraws_harvest(tmp_path, capsys):
