@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -42,6 +41,7 @@ from .rf_environment import mean_power_watts
 from .scenario import (
     ScenarioBundle,
     apply_override,
+    frontend_values,
     load_scenario,
     parse_scenario,
     read_builtin_scenario,
@@ -258,21 +258,10 @@ def _serialize_param_set(
     name: str, params: RectifierParams, target: CalibrationTarget, achieved: float
 ) -> str:
     """One INI section whose keys paste directly into [frontend]."""
-    out = io.StringIO()
-    out.write(f"[{name}]\n")
-    out.write(f"# target {target.threshold_dbm:+.2f} dBm, achieved "
-              f"{achieved:+.4f} dBm, residual "
-              f"{achieved - target.threshold_dbm:+.4f} dB\n")
-    out.write(f"device = {params.device.value}\n")
-    out.write(f"stages = {params.stages}\n")
-    out.write(f"v_drop = {params.v_drop!r}\n")
-    out.write(f"alpha = {params.alpha!r}\n")
-    out.write(f"r_in_ohm = {params.r_in!r}\n")
-    out.write(f"r_out_per_stage_ohm = {params.r_out_per_stage!r}\n")
-    out.write(f"tank_f0_hz = {target.tank.f0_hz!r}\n")
-    out.write(f"tank_q = {target.tank.q!r}\n")
-    out.write(f"carrier_hz = {target.carrier_hz!r}\n")
-    return out.getvalue()
+    head = (f"[{name}]\n# target {target.threshold_dbm:+.2f} dBm, achieved {achieved:+.4f} dBm, "
+            f"residual {achieved - target.threshold_dbm:+.4f} dB\n")
+    values = frontend_values(params, target.tank, target.carrier_hz)
+    return head + "".join(f"{k.removeprefix('frontend.')} = {v}\n" for k, v in values.items())
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -327,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"--sweep wants KEY=V1,V2,..., got {args.sweep!r}"
         )
-    values = [v for v in raw_values.split(",") if v.strip() != ""]
+    values = [v for v in map(str.strip, raw_values.split(",")) if v]
     if not values:
         raise ScenarioError(f"--sweep {args.sweep!r} names no values")
     with _open_out(args.out) as out:

@@ -528,27 +528,17 @@ class Engine:
 
     def _substep_dt(self) -> float:
         """The single-step size rule: dt_fine in a check or cycle, else
-        dt_coarse cut short (never below dt_fine) to land on the window end
-        or the wake-up, and on t_end.  Refreshes a stale window first."""
+        dt_coarse cut once (never below dt_fine) to land on the earlier of
+        the wake-up (inf in Cold) and the window end; and on t_end.
+        Refreshes a stale window first."""
         if self.t >= self._window_until:
             self._refresh_window()
         eng = self.scenario.engine
-        if self.sm.state.fine:
-            dt = eng.dt_fine
-        else:
-            dt = eng.dt_coarse
-            if self.sm.state is NodeState.SLEEP:
-                until_wake = self.sm.next_wake - self.t
-                if until_wake < dt:
-                    dt = max(eng.dt_fine, until_wake)
-            if self._window_until > self.t:
-                until_window = self._window_until - self.t
-                if until_window < dt:
-                    dt = max(eng.dt_fine, until_window)
-        remaining = eng.t_end - self.t
-        if remaining < dt:
-            dt = remaining
-        return dt
+        dt = eng.dt_fine
+        if not self.sm.state.fine:
+            cut = min(self.sm.next_wake, self._window_until) - self.t
+            dt = eng.dt_coarse if cut >= eng.dt_coarse else max(dt, cut)
+        return min(dt, eng.t_end - self.t)
 
     def _pick_dt(self) -> float:
         """dt of the next step() call: a stretch of two or more steps when
@@ -946,7 +936,7 @@ class Engine:
             )
             if sm.state.cycle:
                 draws, self.conv2, self.sw_sensor, self.sw_zigbee, event = cycle_substep(
-                    sm, self.plan, self.conv2, self.sw_sensor, self.sw_zigbee, v2, dt
+                    sm, self.plan, self.conv2, v2, dt
                 )
                 if event == "done":
                     self.transmissions += 1

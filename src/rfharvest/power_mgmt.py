@@ -45,8 +45,6 @@ __all__ = [
     "resolve_go_threshold",
     "monitor_step",
     "run_cycle",
-    "Phase",
-    "CyclePlan",
     "build_cycle_plan",
 ]
 
@@ -345,8 +343,6 @@ def cycle_substep(
     sm: NodeStateMachine,
     plan: CyclePlan,
     conv2: DcDcConverter,
-    sw_sensor: LoadSwitch,
-    sw_zigbee: LoadSwitch,
     v_cap2: float,
     dt: float,
 ) -> tuple[tuple[tuple[str, float], ...], DcDcConverter, LoadSwitch, LoadSwitch, str]:
@@ -354,9 +350,9 @@ def cycle_substep(
 
     Returns (draws, conv2, sw_sensor, sw_zigbee, event) where draws are
     the (component, rail_power_w) pairs supplied through conv2 this step,
-    the switches are as they stand after the step, and event is "" while
-    the cycle runs, "done" after a clean shutdown, or "abort" when the
-    converter dropped out mid-cycle.
+    the switches are the phase table's as they stand after the step, and
+    event is "" while the cycle runs, "done" after a clean shutdown, or
+    "abort" when the converter dropped out mid-cycle.
     """
     state = sm.state
     if not state.cycle:
@@ -383,7 +379,7 @@ def cycle_substep(
         row = plan.phases[state]
         sm.phase_steps_left -= 1
         if sm.phase_steps_left > 0:
-            return row.draws, conv2, sw_sensor, sw_zigbee, ""
+            return row.draws, conv2, *row.switches, ""
         # The monitor's hold ends with the handoff: the controller owns the line.
         sm.enable_monitor = False
         draws, state = row.draws, row.next

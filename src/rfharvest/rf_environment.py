@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -168,15 +170,8 @@ def _trace_windows(model: TraceSource, t: float):
             f"sample time {t!r} is past the end of the trace "
             f"({t_end!r}) and hold_last is off"
         )
-    # binary search for greatest timestamp <= t
-    lo, hi = 0, len(samples) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if samples[mid][0] <= t:
-            lo = mid
-        else:
-            hi = mid - 1
-    for i in range(lo + 1, len(samples)):
+    # From the sample with the greatest timestamp <= t on (the first is at 0).
+    for i in range(bisect_right(samples, t, key=itemgetter(0)), len(samples)):
         yield float(samples[i - 1][1]), float(samples[i][0])
     if model.hold_last:
         yield float(samples[-1][1]), math.inf

@@ -49,7 +49,6 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "apply_override",
-    "build_scenario",
     "builtin_scenario_names",
     "read_builtin_scenario",
 ]
@@ -202,14 +201,16 @@ def _coerce(key: _Key, raw: str):
         raise ScenarioError(f"{key.name}: cannot parse {raw!r}: {exc}") from None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def frontend_values(
+    params: RectifierParams, tank: ResonantTank, carrier_hz: float
+) -> dict[str, str]:
+    """The nine frontend.* keys a calibrated parameter set fixes, as
+    scenario text: what a preset supplies and what `calibrate` writes."""
+    values = (params.device.value, params.stages, params.v_drop, params.alpha, params.r_in,
+              params.r_out_per_stage, tank.f0_hz, tank.q, carrier_hz)
+    names = ("device", "stages", "v_drop", "alpha", "r_in_ohm", "r_out_per_stage_ohm",
+             "tank_f0_hz", "tank_q", "carrier_hz")
+    return {f"frontend.{n}": str(v) for n, v in zip(names, values)}
 
 
 def parse_scenario(text: str, path: str | None = None) -> ScenarioBundle:
@@ -252,20 +253,9 @@ def _resolve(explicit: dict[str, str], path: str | None) -> ScenarioBundle:
     preset_name = _coerce(_KEY_BY_NAME["frontend.preset"], values["frontend.preset"])
     if preset_name != _PRESET_NONE:
         preset = builtin_frontend_presets()[preset_name]
-        derived = {
-            "frontend.device": preset.params.device.value,
-            "frontend.stages": preset.params.stages,
-            "frontend.v_drop": preset.params.v_drop,
-            "frontend.alpha": preset.params.alpha,
-            "frontend.r_in_ohm": preset.params.r_in,
-            "frontend.r_out_per_stage_ohm": preset.params.r_out_per_stage,
-            "frontend.tank_f0_hz": preset.tank.f0_hz,
-            "frontend.tank_q": preset.tank.q,
-            "frontend.carrier_hz": preset.carrier_hz,
-        }
-        for name, value in derived.items():
+        for name, value in frontend_values(preset.params, preset.tank, preset.carrier_hz).items():
             if origins[name] != "explicit":
-                values[name] = _fmt(value)
+                values[name] = value
                 origins[name] = "preset"
 
     # Drop keys that do not apply to the chosen source type.
@@ -286,13 +276,9 @@ def _resolve(explicit: dict[str, str], path: str | None) -> ScenarioBundle:
     return ScenarioBundle(scenario=scenario, values=values, origins=origins, path=path)
 
 
-def _get(values: dict[str, str], name: str):
-    return _coerce(_KEY_BY_NAME[name], values[name])
-
-
 def build_scenario(values: dict[str, str]) -> Scenario:
     """Construct the typed scenario from resolved key strings."""
-    g = lambda name: _get(values, name)
+    g = lambda name: _coerce(_KEY_BY_NAME[name], values[name])
 
     src_type = g("source.type")
     source: RfSourceModel

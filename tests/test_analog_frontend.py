@@ -103,6 +103,13 @@ def test_rectifier_geometric_ladder():
             pytest.approx(1.0 * n, rel=1e-12))
 
 
+def test_rectifier_params_validation():
+    with pytest.raises(QuantityError, match="stages must be an integer >= 1, got 0"):
+        RectifierParams(stages=0)
+    with pytest.raises(QuantityError, match="unknown device 'schottky'"):
+        RectifierParams(device="schottky")
+
+
 def test_marginal_stage_gain_strictly_decreasing():
     base = builtin_frontend_presets()["zerovt_100MHz"].params
     p_del = dbm_to_watts(-37.0)

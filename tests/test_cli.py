@@ -12,6 +12,7 @@ from rfharvest import engine as engine_module
 from rfharvest.cli import SWEEP_CSV_HEADER, main
 from rfharvest.engine import Engine, EnergyLedger
 from rfharvest.errors import LedgerError
+from rfharvest.scenario import parse_scenario
 
 
 def _write(tmp_path, name, text):
@@ -378,6 +379,9 @@ def test_sweep_writes_one_csv_row_per_value(tmp_path, capsys):
     v_oc = [float(r[5]) for r in rows]
     assert harvested == sorted(harvested) and harvested[0] < harvested[-1]
     assert v_oc == sorted(v_oc) and v_oc[0] < v_oc[-1]
+    # Each value is trimmed once, where the list is split.
+    spaced = _run(capsys, ["sweep", scn, "--sweep", "source.level_dbm= -40, -35 ,-30 "])
+    assert spaced == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -403,7 +407,9 @@ def _short_trace_scenario(d):
      "engine.t_end_s: cannot parse 'abc'"),
     (lambda d: ["sweep", _short_trace_scenario(d), "--sweep", "engine.t_end_s=300,1000000"],
      "trace ends at 600.0 s"),
-], ids=["unparsable_value", "past_the_trace"])
+    (lambda d: ["sweep", "paper_ideal", "--sweep", "engine.t_end_s"],
+     "--sweep wants KEY=V1,V2,..., got 'engine.t_end_s'"),
+], ids=["unparsable_value", "past_the_trace", "no_equals_sign"])
 def test_sweep_checks_every_value_before_the_first_run(
     tmp_path, capsys, monkeypatch, argv, message
 ):
@@ -476,6 +482,20 @@ def test_calibrate_preset_writes_three_parameter_sets(tmp_path, capsys):
     assert ini["zerovt_900MHz"]["carrier_hz"] == "900000000.0"
 
 
+@pytest.mark.parametrize("name", ["schottky_100MHz", "zerovt_100MHz", "zerovt_900MHz"])
+def test_calibrated_set_pastes_into_a_scenario_frontend(tmp_path, capsys, name):
+    """A section `calibrate --preset paper` writes, pasted under [frontend]
+    with preset = none, builds the frontend that preset = <name> builds."""
+    out_path = tmp_path / "fp.ini"
+    code, _, _ = _run(capsys, ["calibrate", "--preset", "paper", "--out", str(out_path)])
+    assert code == 0
+    section = out_path.read_text().split(f"[{name}]\n")[1].split("\n[")[0]
+    pasted = parse_scenario(f"[frontend]\npreset = none\n{section}")
+    assert list(pasted.origins.values()).count("explicit") == 10  # preset and nine keys
+    named = parse_scenario(f"[frontend]\npreset = {name}\n")
+    assert pasted.scenario.frontend == named.scenario.frontend
+
+
 def test_calibrate_single_custom_target(tmp_path, capsys):
     out_path = tmp_path / "one.ini"
     code, out, _ = _run(capsys, ["calibrate", "--target",
@@ -507,6 +527,21 @@ def test_calibrate_rejects_malformed_target(tmp_path, capsys):
                                  "--out", str(tmp_path / "x.ini")])
     assert code == 2
     assert "must be DEVICE:STAGES:CARRIER_HZ:DBM[:TANK_Q]" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--preset", "other"], "error: unknown calibration preset 'other'"),
+    (["calibrate", "--target", "schottky:20:fast:-18"],
+     "error: target 'schottky:20:fast:-18': could not convert string to float"),
+    (["run", "no_such_scenario"], "error: scenario file not found: 'no_such_scenario'"),
+], ids=["unknown_preset", "non_numeric_target_field", "unknown_bare_name"])
+def test_bad_arguments_exit_with_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # no file by that name; calibrate writes nothing
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_without_targets_is_an_error(tmp_path, capsys):

@@ -520,7 +520,7 @@ def _lossless_brown_out():
     )
 
 
-def _ideal_pumped_sleeper():
+def _ideal_pumped_sleeper(c1: float = 0.01234567):
     """The ideal sleeper at -20 dBm with the pump on and a lossless cap1:
     v1**2 rises in a straight line (x == 0) to the pump's start voltage,
     episode after episode."""
@@ -529,7 +529,7 @@ def _ideal_pumped_sleeper():
         base,
         source=ConstantSource(level_dbm=-20.0),
         storage=replace(base.storage,
-                        cap1=Supercap(c=0.01234567, v=0.0, r_leak=math.inf, name="cap1"),
+                        cap1=Supercap(c=c1, v=0.0, r_leak=math.inf, name="cap1"),
                         conv1=DcDcConverter(enabled=True, v_min_operate=0.3)),
     )
 
@@ -820,6 +820,13 @@ def _oracle_scenarios():
         # laws with x == 0 in a run: cap2 browning out, v1**2 reaching start_v
         pytest.param(_lossless_brown_out(), id="lossless_brown_out"),
         pytest.param(_ideal_pumped_sleeper(), id="ideal_pumped_sleeper"),
+        # The macro-step contract's one known knife-edge (CHANGES.md FOUND).
+        pytest.param(_ideal_pumped_sleeper(0.01), id="ideal_pumped_sleeper_10mF", marks=(
+            pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                "Engine._quiet and Engine._step_one round v1**2 differently under ideal "
+                "coupling with a lossless cap1 (x == 0), so where the recharge from the "
+                "pump's stop_v to start_v is a whole number of steps the pump can start "
+                "one step apart")))),
         # checks taken as fine stretches (the sleeping node's end in Sleep,
         # trace_cycle's in a cycle, the random ones' in either)
         pytest.param(_check_across_a_window(), id="check_across_a_window"),

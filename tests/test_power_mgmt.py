@@ -1,6 +1,7 @@
 """Load budget, monitor scheduling, and the supervised duty cycle."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,12 @@ def test_resolve_go_threshold_override_and_floor():
     )
     with pytest.raises(QuantityError):
         MonitorConfig(go_threshold=1.0)  # below the monitor's own floor
+
+
+def test_monitor_wake_period_must_be_positive():
+    with pytest.raises(QuantityError, match="wake_period must be positive"):
+        MonitorConfig(wake_period=0.0)
+    assert MonitorConfig(wake_period=math.inf).wake_period == math.inf  # never wakes
 
 
 def test_monitor_power_on_schedules_full_period():
@@ -315,9 +322,7 @@ def test_cycle_enable_line_continuity_and_switch_windows():
     seen = set()
     for _ in range(20000):
         state_before = sm.state
-        draws, conv2, sw_s, sw_z, event = cycle_substep(
-            sm, plan, conv2, sw_s, sw_z, 1.0, dt
-        )
+        draws, conv2, sw_s, sw_z, event = cycle_substep(sm, plan, conv2, 1.0, dt)
         seen.add(state_before)
         if event == "done":
             break
@@ -347,6 +352,20 @@ def test_cycle_enable_line_continuity_and_switch_windows():
     assert not sw_s.closed and not sw_z.closed
 
 
+def test_steppers_refuse_a_state_they_do_not_own():
+    """cycle_substep refuses a state outside a cycle, and monitor_step a
+    state that is neither a cycle state nor Cold, Sleep or Check (none
+    exists today: a new one is refused, not stepped as a check)."""
+    sm = NodeStateMachine(state=NodeState.SLEEP)
+    plan = build_cycle_plan(table1_profiles(), LoadSwitch("sensor"), LoadSwitch("zigbee"))
+    with pytest.raises(TransitionError, match="cycle_substep called in state"):
+        cycle_substep(sm, plan, DcDcConverter(enabled=True), 1.0, 1e-3)
+    assert sm.state is NodeState.SLEEP
+    sm.state = SimpleNamespace(cycle=False)
+    with pytest.raises(TransitionError, match="monitor cannot step from state"):
+        monitor_step(MonitorConfig(), sm, 2.0, 0.0, 1.0, 2.0, 10)
+
+
 def test_handoff_overlap_monitor_releases_after_controller_holds():
     """During handoff both supervisors hold the line; the monitor lets go
     only at the end, so the OR never glitches low."""
@@ -355,11 +374,11 @@ def test_handoff_overlap_monitor_releases_after_controller_holds():
     sw_s, sw_z = LoadSwitch("sensor"), LoadSwitch("zigbee")
     plan = build_cycle_plan(table1_profiles(), sw_s, sw_z)
     # boot step raises the controller's hold
-    cycle_substep(sm, plan, conv2, sw_s, sw_z, 1.0, 1e-3)
+    cycle_substep(sm, plan, conv2, 1.0, 1e-3)
     assert sm.state is NodeState.HANDOFF
     assert sm.enable_monitor and sm.enable_controller
     while sm.state is NodeState.HANDOFF:
-        cycle_substep(sm, plan, conv2, sw_s, sw_z, 1.0, 1e-3)
+        cycle_substep(sm, plan, conv2, 1.0, 1e-3)
     assert sm.state is NodeState.MEASURE
     assert not sm.enable_monitor and sm.enable_controller
 

@@ -1,5 +1,8 @@
 """Ambient source models: constant, fluctuating, trace playback."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,12 +195,15 @@ def test_trace_validation():
         TraceSource(samples=((0.0, -40.0), (0.0, -35.0)))  # not increasing
     with pytest.raises(TraceError):
         TraceSource(samples=((1.0, -40.0),))  # must start at zero
+    with pytest.raises(TraceError, match="timestamp must be finite"):
+        TraceSource(samples=((0.0, -40.0), (math.inf, -35.0)))
 
 
 def test_load_trace_csv(tmp_path):
     p = tmp_path / "trace.csv"
-    p.write_text("time_s,power_dbm\n0.0,-40.0\n10.0,-35.0\n")
+    p.write_text("time_s,power_dbm\n0.0,-40.0\n\n10.0,-35.0\n")  # a blank row is skipped
     src = load_trace_csv(p)
+    assert src.samples == ((0.0, -40.0), (10.0, -35.0))
     assert _level(src, 5.0) == -40.0
     bad = tmp_path / "bad.csv"
     bad.write_text("time_s,power_dbm\n0.0,-40.0\n5.0,not_a_number\n")
@@ -207,6 +213,19 @@ def test_load_trace_csv(tmp_path):
     wrong_header.write_text("t,p\n0.0,-40.0\n")
     with pytest.raises(TraceError):
         load_trace_csv(wrong_header)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty trace file"),
+    ("time_s,power_dbm\n0.0,-40.0,1\n", ":2: expected 2 columns, got 3"),
+    ("time_s,power_dbm\n0.0,-40.0\n10.0,-35.0\n5.0,-30.0\n",
+     "strictly increasing at t=5.0"),
+], ids=["empty", "three_columns", "decreasing"])
+def test_load_trace_csv_rejects_malformed_files(tmp_path, text, message):
+    p = tmp_path / "trace.csv"
+    p.write_text(text)
+    with pytest.raises(TraceError, match=re.escape(message)):
+        load_trace_csv(p)
 
 
 def test_mean_power_watts_constant():

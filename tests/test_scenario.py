@@ -126,6 +126,10 @@ def test_optional_none_literal_and_numeric_validation():
         parse_scenario("[engine]\nt_end_s = soon\n")
     with pytest.raises((ScenarioError, QuantityError)):
         parse_scenario("[storage]\ncap1_c_f = nan\n")
+    with pytest.raises(ScenarioError, match="conv1_enabled: cannot parse 'maybe': expected true"):
+        parse_scenario("[storage]\nconv1_enabled = maybe\n")
+    with pytest.raises(ScenarioError, match="coupling: cannot parse 'magic': expected one of"):
+        parse_scenario("[frontend]\ncoupling = magic\n")
     b = parse_scenario("[storage]\ncap1_r_leak_ohm = inf\n")
     assert math.isinf(b.scenario.storage.cap1.r_leak)
 

@@ -150,6 +150,11 @@ def test_converter_cutoff_must_be_positive():
             DcDcConverter(v_min_operate=bad)
 
 
+def test_converter_startup_must_not_be_below_cutoff():
+    with pytest.raises(QuantityError, match="v_startup 0.2 below v_min_operate 0.25"):
+        DcDcConverter(v_startup=0.2, v_min_operate=0.25)
+
+
 def test_dcdc_supply_current_power_balance():
     conv = DcDcConverter(enabled=True, efficiency=0.9)
     i_in = dcdc_supply_current(conv, 2.0, p_out=24.5e-3)
