@@ -72,14 +72,14 @@ def _load_bundle(path: str | None) -> ScenarioBundle:
         return parse_scenario("", path=None)
     if os.path.exists(path):
         return load_scenario(path)
-    if os.path.basename(path) == path:
-        try:
-            text = read_builtin_scenario(path.removesuffix(".scenario"))
-        except ScenarioError:
-            pass
-        else:
-            return parse_scenario(text, path=f"builtin:{path}")
-    raise ScenarioError(f"scenario file not found: {path!r}")
+    missing = f"scenario file not found: {path!r}"
+    if os.path.basename(path) != path:
+        raise ScenarioError(missing)
+    try:
+        text = read_builtin_scenario(path.removesuffix(".scenario"))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{missing}, and {exc}") from None
+    return parse_scenario(text, path=f"builtin:{path}")
 
 
 def format_budget(profiles: tuple[LoadProfile, ...]) -> str:

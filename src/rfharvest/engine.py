@@ -3,27 +3,27 @@
 Wires the pipeline together: ambient source -> reflection -> resonant
 tank -> rectifier -> harvest cap -> charge pump -> reservoir cap ->
 monitor / controller loads, advancing with a coarse step while the node
-is Cold or Sleep and a fine step during checks and cycles.  Steps come in
-stretches: one step() call takes every coarse step up to the next window
-end, wake-up or stop condition, or a check's or a cycle phase's fine
-steps but its last.  A run of quiet ones (the monitor keeps its state, the
-pump is idle, neither cap clamps at 0 V) is one closed-form macro-step:
-inside a window each cap's Euler step is affine, v <- a v + b, so k steps
-and the ledger's sums over them are geometric.  The frontend is solved
-once per scenario; a quiet span (see Engine._plan) fixes the monitor's
-mode, its bound and the laws' constants once.  A new window takes the next
-level from the source's window iterator and evaluates v_oc from the
-chain's constants; then it costs one _pick_dt, one step() and, while the
-node is quiet, one macro-step with cap1's laws, cap2's step, the booking
-and the ledger guard.  The model is the per-step one; only rounding moves,
-within 1e-9 of stepping one step per call, and events land on the same
-step.  Traced and untraced runs take the same
-macro-steps; a traced one also writes a row per step, read from the same
-law, and the state never depends on it.  A macro-step writes its rows in
-one pass, in chunks of at most _TRACE_CHUNK rows, with the bytes of
-stepping one step per row.  The ledger guard runs once per macro-step,
-so the trace of a run the guard aborts may hold rows up to the end of
-that macro-step.
+is Cold or Sleep and a fine step during checks and cycles.  Steps come
+in stretches: one step() call takes every coarse step up to the next
+window end, wake-up or stop condition, or a check's or a cycle phase's
+fine steps but its last.  A run of quiet ones (the monitor keeps its
+state, the pump is idle, neither cap clamps at 0 V) is one closed-form
+macro-step: inside a window each cap's Euler step is affine,
+v <- a v + b, so k steps and the ledger's sums over them are geometric.
+The frontend is solved once per scenario; a quiet span (see
+Engine._plan) fixes the laws' constants and the monitor's draw, as
+monitor_step gives it, once.  A new window takes the next level from the
+source's window iterator and evaluates v_oc from the chain's constants;
+then it costs one _pick_dt, one step() and, while the node is quiet, one
+macro-step with cap1's laws, cap2's step, the booking and the ledger
+guard.  The model is the per-step one; only rounding moves, within 1e-9
+of stepping one step per call, and events land on the same step.  Traced
+and untraced runs take the same macro-steps; a traced one also writes a
+row per step, read from the same law, and the state never depends on it.
+A macro-step writes its rows in one pass, in chunks of at most
+_TRACE_CHUNK rows, with the bytes of stepping one step per row.  The
+ledger guard runs once per macro-step, so the trace of a run the guard
+aborts may hold rows up to the end of that macro-step.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -42,7 +42,7 @@ power itself and any coupling inefficiency shows up as converter loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -59,7 +59,6 @@ from .power_mgmt import (
     LoadProfile,
     LoadSwitch,
     MonitorConfig,
-    NodeState,
     NodeStateMachine,
     build_cycle_plan,
     cycle_substep,
@@ -371,7 +370,7 @@ class Engine:
     Construct with a scenario, then call run() once, or step(_pick_dt())
     for fine-grained inspection: a single step or a stretch of many (see
     _pick_dt).  Capacitor state lives in plain float attributes; only
-    the converters and load switches are records.
+    the converters are records.
     """
 
     def __init__(self, scenario: Scenario):
@@ -401,8 +400,6 @@ class Engine:
         self.conv1 = st.conv1
         self.conv2 = st.conv2
         self.sm = NodeStateMachine()
-        self.sw_sensor = mg.switch_sensor
-        self.sw_zigbee = mg.switch_zigbee
         self.plan = build_cycle_plan(mg.profiles, mg.switch_sensor, mg.switch_zigbee)
         if mg.loads_enabled:
             self.go_threshold = resolve_go_threshold(
@@ -453,27 +450,27 @@ class Engine:
         self.counters = RunCounters()
 
     def _plan(self, dt: float) -> tuple:
-        """What a quiet span of steps of dt fixes, worked out once: its
-        bound (the earlier of the wake-up and t_end), whether its steps are
-        quiet (see _quiet), the laws' constants (cap1's leak x1, the
-        charging law's x and the factor of its b, cap2's x2 and 2 - x2),
-        cap2's b and the monitor's booking coefficient and ledger row for
-        the state's monitor mode (off in Cold or without loads, asleep,
-        checking), both caps' leak booking coefficients, the pump's start_v
-        (inf without a pump) and the brown-out level.
+        """What a quiet span of steps of dt fixes, worked out once: whether
+        its steps are quiet (see _quiet), the laws' constants (cap1's leak
+        x1, the charging law's x and the factor of its b, cap2's x2 and
+        2 - x2), cap2's b and the monitor's booking coefficient and ledger
+        row, both caps' leak booking coefficients, the pump's start_v (inf
+        without a pump) and the brown-out level.
 
-        A span starts on entering Cold or Sleep, at the end of a pump
-        episode or of a check, and on a change of step size: _step_one
-        drops the plan, and a plan for another dt replaces it.  Nothing it
-        reads moves in between: the state, the wake-up and the pump change
-        only in single steps, and quiet steps only lower v2, never through
-        the brown-out level, so neither a Cold monitor's power-up nor a
-        powered one's brown-out comes inside.
+        The monitor's draw and row are monitor_step's for the span's first
+        step, taken on a copy of the state machine: the row is "" while the
+        monitor is off (Cold or no loads), "monitor_sleep" or
+        "monitor_check".  The span is quiet only if the copy keeps its state
+        and, where the monitor is powered, v_min_operate > 0, so that the
+        stop before its brown-out keeps cap2 off 0 V.  A span starts on
+        entering Cold or Sleep, at the end of a pump episode or of a check,
+        and on a change of step size: _step_one drops the plan, and a plan
+        for another dt replaces it.  Nothing it reads moves in between: the
+        state, the wake-up and the pump change only in single steps, and
+        quiet steps only lower v2, never through the brown-out level, so
+        neither a Cold monitor's power-up nor a powered one's brown-out
+        comes inside.
         """
-        sm = self.sm
-        state = sm.state
-        v2 = self.v2
-        mon = self.scenario.management.monitor
         c1, c2, r1, r2 = self.c1, self.c2, self.r1, self.r2
         thevenin = self._chain is not None
         x1 = dt / c1 / r1  # cap1's leak; r_leak = inf gives 0.0, a == 1
@@ -486,28 +483,18 @@ class Engine:
         # Both laws keep a > 0 (a law with a <= 0 could ring through 0 V),
         # and the pump is idle.
         quiet = x1 + g < 1.0 and x2 < 1.0 and not (self.conv1.running and self._pump)
-        check = state is NodeState.CHECK
-        powered = self._loads and state is not NodeState.COLD  # the monitor draws
+        mon = self.scenario.management.monitor
         lo = mon.v_min_operate
-        bound = self._t_end
-        i_mon, kind = 0.0, ""  # the monitor's draw and its ledger row
-        if powered:
-            if sm.next_wake < bound:
-                bound = sm.next_wake
-            if not lo > 0.0 or v2 < lo:
+        i_mon, kind = 0.0, ""
+        if self._loads:
+            probe = replace(self.sm)
+            i_mon, kind = monitor_step(mon, probe, self.v2, self.t, dt, self.go_threshold,
+                                       self.check_steps)
+            if probe.state is not self.sm.state or (kind and not lo > 0.0):
                 quiet = False
-            elif check:
-                i_mon, kind = mon.i_active, "monitor_check"
-            elif self.t >= sm.next_wake:
-                quiet = False
-            else:
-                i_mon, kind = mon.i_sleep, "monitor_sleep"
-        elif self._loads and v2 >= lo:  # Cold powers up; v2 only falls in quiet steps
-            quiet = False
         start_v = self.scenario.storage.transfer.start_v if self._pump else math.inf
-        return (dt, bound, quiet, x1, xc, bmul, x2, 2.0 - x2, -i_mon * dt / c2,
-                0.5 * i_mon * dt, kind, 0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1),
-                0.5 * dt / r2, start_v, lo, powered, check)
+        return (dt, quiet, x1, xc, bmul, x2, 2.0 - x2, -i_mon * dt / c2, 0.5 * i_mon * dt, kind,
+                0.5 * dt / r1 * (1.0 if thevenin else 2.0 - x1), 0.5 * dt / r2, start_v, lo)
 
     def _refresh_window(self) -> None:
         """Advance the source's windows to the one holding t and solve the
@@ -546,8 +533,8 @@ class Engine:
 
         Steps are checked on the clock they will advance (see _advance).
         In Cold or Sleep a coarse stretch takes the whole coarse steps
-        before the earliest of the window end and the span's bound (the
-        wake-up and t_end, see _plan), at most one wake period of them (a
+        before the earliest of the window end, the wake-up (inf while the
+        monitor is unpowered) and t_end, at most one wake period of them (a
         Cold -> Sleep flip inside the stretch schedules no check before
         that): one division counts them, and _steps_before recounts when
         the clock leaves the last of them short of a whole step (a count
@@ -567,10 +554,9 @@ class Engine:
         n = 0
         if not sm.state.fine:
             dt = self._dtc
-            plan = self._span
-            if plan is None or plan[0] != dt:
-                plan = self._span = self._plan(dt)
-            bound = plan[1]
+            bound = self._t_end
+            if sm.next_wake < bound:
+                bound = sm.next_wake
             if until < bound:
                 bound = until
             span = bound - self.t
@@ -709,14 +695,13 @@ class Engine:
         plan = self._span
         if plan is None or plan[0] != dt:
             plan = self._span = self._plan(dt)
-        (_, _, quiet, x1, xc, bmul, x2, two_x2, b2, c_mon, kind, c_leak1, c_leak2,
-         watch, lo, powered, check) = plan
+        _, quiet, x1, xc, bmul, x2, two_x2, b2, c_mon, kind, c_leak1, c_leak2, watch, lo = plan
         if not quiet:
             return 0
         v1, v2 = self.v1, self.v2
         k = n
         cap2 = _affine(x2, b2, v2, k)
-        if powered and cap2[0] <= lo:  # stop before the brown-out, drawing or not
+        if kind and cap2[0] <= lo:  # stop before the brown-out, drawing or not
             k = _first_hit(x2, b2, v2, k, lo, lo.__ge__) - 1
             if not k:
                 return 0
@@ -805,7 +790,7 @@ class Engine:
         led.steps += k
         led.unbooked += 1  # v2k's rounding
         counts = self.counters
-        if check:
+        if kind == "monitor_check":
             self.sm.phase_steps_left -= k
             counts.fine_check += k
         else:
@@ -935,7 +920,7 @@ class Engine:
                 mon, sm, v2, t, dt, self.go_threshold, self.check_steps
             )
             if sm.state.cycle:
-                draws, self.conv2, self.sw_sensor, self.sw_zigbee, event = cycle_substep(
+                draws, self.conv2, _, _, event = cycle_substep(
                     sm, self.plan, self.conv2, v2, dt
                 )
                 if event == "done":

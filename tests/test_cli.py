@@ -236,6 +236,8 @@ def test_run_missing_scenario_file_exits_with_usage_error(capsys):
      "error: check_duration must be positive and finite"),
     ("[source]\ntype = constant\nlevel_dbm = 4000\n[engine]\nt_end_s = 10.0\n",
      "error: dBm level 4000.0 is too large"),
+    ("[source]\ntype = constant\nlevel_dbm = 3080\n",
+     "error: v_peak must be finite and >= 0, got inf"),
     ("[management]\ncheck_duration_s = 1e306\n",
      "error: check_duration 1e+306 s spans too many"),
     ("[source]\ntype = constant\nlevel_dbm = -20.0\n\n"
@@ -533,7 +535,8 @@ def test_calibrate_rejects_malformed_target(tmp_path, capsys):
     (["calibrate", "--preset", "other"], "error: unknown calibration preset 'other'"),
     (["calibrate", "--target", "schottky:20:fast:-18"],
      "error: target 'schottky:20:fast:-18': could not convert string to float"),
-    (["run", "no_such_scenario"], "error: scenario file not found: 'no_such_scenario'"),
+    (["run", "no_such_scenario"], "error: scenario file not found: 'no_such_scenario', and no "
+     "shipped scenario named 'no_such_scenario'; available: paper_ideal, realistic_default"),
 ], ids=["unknown_preset", "non_numeric_target_field", "unknown_bare_name"])
 def test_bad_arguments_exit_with_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # no file by that name; calibrate writes nothing

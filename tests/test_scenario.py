@@ -1,19 +1,26 @@
 """Scenario file format: defaults, presets, rejection."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from rfharvest.analog_frontend import RectifierParams, ReflectionModel
+from rfharvest.engine import EngineConfig, FrontendConfig, ManagementConfig, StorageConfig
 from rfharvest.errors import QuantityError, ScenarioError
-from rfharvest.rf_environment import ConstantSource, FluctuatingSource
+from rfharvest.power_mgmt import LoadSwitch, MonitorConfig, table1_profiles
+from rfharvest.rf_environment import ConstantSource, FluctuatingSource, TraceSource
 from rfharvest.scenario import (
+    _KEY_BY_NAME,
     _KEYS,
+    _coerce,
     apply_override,
     builtin_scenario_names,
     load_scenario,
     parse_scenario,
     read_builtin_scenario,
 )
+from rfharvest.storage import DcDcConverter, Supercap, TransferPolicy
 
 
 def test_empty_text_builds_the_default_scenario():
@@ -164,3 +171,69 @@ def test_load_scenario_reads_files(tmp_path):
 
 def test_key_help_covers_every_default():
     assert all(k.help.strip() for k in _KEYS)
+
+
+#: Keys whose default restates a record field's default: record -> {key: field}.
+_RESTATED = {
+    FluctuatingSource: {"source.dwell_s": "dwell_s", "source.seed": "seed"},
+    TraceSource: {"source.hold_last": "hold_last"},
+    RectifierParams: {
+        "frontend.device": "device", "frontend.stages": "stages", "frontend.v_drop": "v_drop",
+        "frontend.alpha": "alpha", "frontend.r_in_ohm": "r_in",
+        "frontend.r_out_per_stage_ohm": "r_out_per_stage",
+    },
+    ReflectionModel: {"frontend.gamma_sq": "gamma_sq"},
+    FrontendConfig: {"frontend.coupling": "coupling",
+                     "frontend.ideal_efficiency": "ideal_efficiency"},
+    Supercap: {"storage.cap1_r_leak_ohm": "r_leak", "storage.cap2_r_leak_ohm": "r_leak"},
+    StorageConfig: {"storage.cap2_v_max": "cap2_v_max"},
+    DcDcConverter: {
+        "storage.conv1_enabled": "enabled", "storage.conv1_efficiency": "efficiency",
+        "storage.conv2_v_startup": "v_startup", "storage.conv2_v_min_operate": "v_min_operate",
+        "storage.conv2_efficiency": "efficiency",
+    },
+    TransferPolicy: {"storage.transfer_start_v": "start_v", "storage.transfer_stop_v": "stop_v",
+                     "storage.pump_current_a": "pump_current"},
+    ManagementConfig: {"management.loads_enabled": "loads_enabled"},
+    MonitorConfig: {
+        "management.wake_period_s": "wake_period", "management.i_sleep_a": "i_sleep",
+        "management.i_active_a": "i_active", "management.monitor_v_min": "v_min_operate",
+        "management.check_duration_s": "check_duration",
+        "management.go_threshold_v": "go_threshold",
+    },
+    LoadSwitch: {"management.switch_r_on_ohm": "r_on"},
+    EngineConfig: {
+        "engine.dt_coarse_s": "dt_coarse", "engine.dt_fine_s": "dt_fine",
+        "engine.t_end_s": "t_end", "engine.max_transmissions": "max_transmissions",
+        "engine.stop_stored_j": "stop_stored_j",
+    },
+}
+
+#: The restated defaults that differ on purpose: the scenario's describes
+#: the shipped realistic node, the record's the bare part.
+_REALISTIC_NODE = {
+    "storage.cap1_r_leak_ohm": "a leaking harvest cap; a Supercap does not leak by default",
+    "storage.cap2_r_leak_ohm": "a low-leakage reservoir; a Supercap does not leak by default",
+    "storage.conv1_enabled": "the node has a charge pump; a DcDcConverter starts disabled",
+    "management.go_threshold_v": "a fixed 2.0 V go threshold; a MonitorConfig derives it "
+                                 "from the cycle budget",
+}
+
+
+def test_key_defaults_agree_with_the_record_defaults_they_restate():
+    """A key default written a second time, as a record field's default or
+    as a table1_profiles() row, agrees with it, except where the scenario
+    default describes the shipped realistic node (_REALISTIC_NODE)."""
+    restated = {}
+    for record, keys in _RESTATED.items():
+        defaults = {f.name: f.default for f in fields(record)}
+        restated.update((key, defaults[name]) for key, name in keys.items())
+    for row in table1_profiles():
+        for attr, suffix in (("v", "v"), ("i", "i_a"), ("t", "t_s")):
+            key = f"management.profile.{row.name}.{suffix}"
+            if key in _KEY_BY_NAME:
+                restated[key] = getattr(row, attr)
+    differ = {key for key, value in restated.items()
+              if _coerce(_KEY_BY_NAME[key], _KEY_BY_NAME[key].default) != value}
+    assert differ == set(_REALISTIC_NODE)
+    assert len(restated) == 46
