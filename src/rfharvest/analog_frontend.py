@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import CalibrationError, QuantityError
-from .quantities import dbm_to_watts, fraction, nonnegative, positive, watts_to_dbm
+from .quantities import count, dbm_to_watts, fraction, nonnegative, positive, watts_to_dbm
 
 __all__ = [
     "Device",
@@ -74,9 +74,7 @@ class ReflectionModel:
     gamma_sq: float = 0.5
 
     def __post_init__(self):
-        g = self.gamma_sq
-        if not 0.0 <= g <= 1.0:
-            raise QuantityError(f"gamma_sq must be within [0, 1], got {g!r}")
+        nonnegative("gamma_sq", self.gamma_sq, 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,7 @@ class RectifierParams:
     r_out_per_stage: float = DEFAULT_R_OUT_PER_STAGE_OHM
 
     def __post_init__(self):
-        if not isinstance(self.stages, int) or self.stages < 1:
-            raise QuantityError(f"stages must be an integer >= 1, got {self.stages!r}")
+        count("stages", self.stages)
         if not isinstance(self.device, Device):
             raise QuantityError(f"unknown device {self.device!r}")
         nonnegative("v_drop", self.v_drop)

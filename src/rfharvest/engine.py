@@ -67,8 +67,9 @@ from .power_mgmt import (
     resolve_go_threshold,
     table1_profiles,
 )
-from .quantities import dbm_to_watts, fraction, positive
+from .quantities import count, dbm_to_watts, fraction, not_below, positive
 from .rf_environment import (
+    FluctuatingSource,
     RfSourceModel,
     TraceSource,
     sample_window,  # not called here; benchmarks/layers.py wraps it by this name
@@ -174,15 +175,12 @@ class EngineConfig:
     def __post_init__(self):
         positive("dt_coarse", self.dt_coarse)
         positive("dt_fine", self.dt_fine)
-        if self.dt_fine > self.dt_coarse:
-            raise QuantityError(
-                f"dt_fine {self.dt_fine!r} must not exceed dt_coarse {self.dt_coarse!r}"
-            )
+        not_below("dt_coarse", self.dt_coarse, "dt_fine", self.dt_fine)
         positive("t_end", self.t_end)
-        if self.max_transmissions is not None and self.max_transmissions < 1:
-            raise QuantityError("max_transmissions must be >= 1 when set")
-        if self.stop_stored_j is not None and not self.stop_stored_j > 0:
-            raise QuantityError("stop_stored_j must be positive when set")
+        if self.max_transmissions is not None:
+            count("max_transmissions", self.max_transmissions)
+        if self.stop_stored_j is not None:
+            positive("stop_stored_j", self.stop_stored_j)
 
 
 @dataclass(frozen=True)
@@ -383,6 +381,8 @@ class Engine:
                     f"trace ends at {t_last!r} s, before engine.t_end_s = {t_end!r} s; "
                     "set source.hold_last = true or a shorter engine.t_end_s"
                 )
+        if isinstance(src, FluctuatingSource):  # else each step walks the windows it skips
+            not_below("source.dwell_s", src.dwell_s, "engine.dt_fine_s", scenario.engine.dt_fine)
         st = scenario.storage
         mg = scenario.management
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from .analog_frontend import RectifierParams, ReflectionModel, ResonantTank
 from .errors import QuantityError, ScenarioError, TransitionError
-from .quantities import finite, fraction, nonnegative, positive
+from .quantities import finite, fraction, nonnegative, not_below, positive, positive_or_inf
 from .rf_environment import ConstantSource
 from .storage import DcDcConverter, Supercap, TransferPolicy, dcdc_update_running
 
@@ -141,19 +141,14 @@ class MonitorConfig:
     go_threshold: float | None = None  # None: derived from the cycle budget
 
     def __post_init__(self):
-        if not self.wake_period > 0:  # +inf is legal: the monitor never wakes
-            raise QuantityError(f"wake_period must be positive, got {self.wake_period!r}")
+        positive_or_inf("wake_period", self.wake_period)  # +inf: the monitor never wakes
         positive("check_duration", self.check_duration)
         nonnegative("i_sleep", self.i_sleep)
         nonnegative("i_active", self.i_active)
         finite("v_min_operate", self.v_min_operate)
         if self.go_threshold is not None:
             finite("go_threshold", self.go_threshold)
-            if self.go_threshold < self.v_min_operate:
-                raise QuantityError(
-                    f"go_threshold {self.go_threshold!r} below the monitor's "
-                    f"minimum operating voltage {self.v_min_operate!r}"
-                )
+            not_below("go_threshold", self.go_threshold, "v_min_operate", self.v_min_operate)
 
 
 def resolve_go_threshold(

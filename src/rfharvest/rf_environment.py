@@ -21,8 +21,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Union
 
-from .errors import QuantityError, TraceError
-from .quantities import dbm_to_watts, finite, nonnegative
+from .errors import TraceError
+from .quantities import dbm_to_watts, finite, nonnegative, not_below, positive_or_inf
 
 __all__ = [
     "ConstantSource",
@@ -86,12 +86,8 @@ class FluctuatingSource:
     def __post_init__(self):
         finite("lo_dbm", self.lo_dbm)
         finite("hi_dbm", self.hi_dbm)
-        if not self.hi_dbm >= self.lo_dbm:
-            raise QuantityError(
-                f"fluctuation bounds inverted: lo={self.lo_dbm} hi={self.hi_dbm}"
-            )
-        if not self.dwell_s > 0:
-            raise QuantityError(f"dwell must be positive, got {self.dwell_s}")
+        not_below("hi_dbm", self.hi_dbm, "lo_dbm", self.lo_dbm)
+        positive_or_inf("dwell_s", self.dwell_s)
 
 
 @dataclass(frozen=True)

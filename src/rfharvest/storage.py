@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import QuantityError
-from .quantities import finite, fraction, nonnegative, positive
+from .quantities import finite, fraction, nonnegative, not_below, positive, positive_or_inf
 
 __all__ = [
     "Supercap",
@@ -50,10 +49,7 @@ class Supercap:
 
     def __post_init__(self):
         positive(f"{self.name}: capacitance", self.c)
-        if not self.r_leak > 0.0:  # +inf is legal: an open circuit, no leak
-            raise QuantityError(
-                f"{self.name}: leak resistance must be > 0, got {self.r_leak!r}"
-            )
+        positive_or_inf(f"{self.name}: leak resistance", self.r_leak)  # +inf: no leak
         nonnegative(f"{self.name}: voltage", self.v)
 
 
@@ -83,10 +79,7 @@ class DcDcConverter:
     def __post_init__(self):
         finite("v_startup", self.v_startup)
         positive("v_min_operate", self.v_min_operate)
-        if self.v_startup < self.v_min_operate:
-            raise QuantityError(
-                f"v_startup {self.v_startup!r} below v_min_operate {self.v_min_operate!r}"
-            )
+        not_below("v_startup", self.v_startup, "v_min_operate", self.v_min_operate)
         fraction("efficiency", self.efficiency, 0.9)
 
 
@@ -106,16 +99,13 @@ class TransferPolicy:
     def __post_init__(self):
         finite("start_v", self.start_v)
         nonnegative("stop_v", self.stop_v)
-        if self.start_v < self.stop_v:
-            raise QuantityError(
-                f"start_v {self.start_v!r} below stop_v {self.stop_v!r}"
-            )
+        not_below("start_v", self.start_v, "stop_v", self.stop_v)
         positive("pump_current", self.pump_current)
 
 
 def cap_euler(v: float, c: float, r_leak: float, i_in: float, dt: float) -> tuple[float, float]:
-    """Plain-float capacitor update kernel: every capacitor step in the
-    simulator goes through here.
+    """Plain-float capacitor update kernel of a single step: Engine._step_one
+    moves each cap through here; macro-steps take its law in closed form.
 
     Explicit update dv = (i_in - v / r_leak) * dt / c, clamped at zero.
     Returns (v_new, leaked) with leaked chosen so that

@@ -247,9 +247,14 @@ def test_run_missing_scenario_file_exits_with_usage_error(capsys):
      "profile.sensor.t_s = 1e306\n\n"
      "[engine]\nt_end_s = 1000.0\n",
      "error: sensor on-time 1e+306 s spans too many"),
+    (["realistic_default", "--until", "3600", "--until-joules", "inf"],
+     "error: stop_stored_j must be positive and finite, got inf"),
 ])
 def test_run_rejects_out_of_range_values(tmp_path, capsys, text, message):
-    code, out, err = _run(capsys, ["run", _write(tmp_path, "s.scenario", text)])
+    """A scenario text, or the arguments after `run`, that exit 2 before
+    anything is simulated."""
+    args = text if isinstance(text, list) else [_write(tmp_path, "s.scenario", text)]
+    code, out, err = _run(capsys, ["run", *args])
     assert code == 2
     assert out == ""
     assert message in err

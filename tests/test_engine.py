@@ -249,6 +249,17 @@ def test_trace_must_cover_the_horizon_unless_held():
     Engine(replace(base, source=TraceSource(samples), engine=EngineConfig(t_end=119400.0)))
 
 
+def test_dwell_must_not_be_shorter_than_a_fine_step():
+    """A fluctuating source's windows shorter than dt_fine fail at
+    construction: a step would walk every window it skips (about 1e297 of
+    them for a 1e-300 s dwell)."""
+    base = _ideal_scenario(None, t_end=100.0)
+    for dwell in (1e-300, math.nextafter(1e-3, 0.0)):
+        with pytest.raises(QuantityError, match="source.dwell_s .* below engine.dt_fine_s 0.001"):
+            Engine(replace(base, source=FluctuatingSource(-43.0, -33.0, dwell)))
+    Engine(replace(base, source=FluctuatingSource(-43.0, -33.0, 1e-3)))
+
+
 def test_stop_reason_t_end():
     res = run_scenario(_ideal_scenario(1e9, t_end=100.0))
     assert res.stop_reason == "t_end"
@@ -264,6 +275,8 @@ def test_engine_config_validation():
         EngineConfig(max_transmissions=0)
     with pytest.raises(QuantityError):
         EngineConfig(stop_stored_j=0.0)
+    with pytest.raises(QuantityError):
+        EngineConfig(stop_stored_j=math.inf)
     with pytest.raises(ScenarioError):
         _frontend(coupling="wireless")
     with pytest.raises(QuantityError):
