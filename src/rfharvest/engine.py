@@ -381,7 +381,7 @@ class Engine:
                     f"trace ends at {t_last!r} s, before engine.t_end_s = {t_end!r} s; "
                     "set source.hold_last = true or a shorter engine.t_end_s"
                 )
-        if isinstance(src, FluctuatingSource):  # else each step walks the windows it skips
+        if isinstance(src, FluctuatingSource):  # shorter: a step walks every window it skips
             not_below("source.dwell_s", src.dwell_s, "engine.dt_fine_s", scenario.engine.dt_fine)
         st = scenario.storage
         mg = scenario.management
