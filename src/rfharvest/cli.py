@@ -288,20 +288,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     lines: list[str] = []
     for group in groups.values():
         params = calibrate_sensitivity(group)
-        achieved_by_name: dict[str, float] = {}
         for t in group:
             achieved = sensitivity_threshold_dbm(params, t.tank, t.carrier_hz)
-            achieved_by_name[t.name] = achieved
+            if t is group[0]:  # the section's header reports the head target
+                sections.append(_serialize_param_set(t.name, params, t, achieved))
             residual = achieved - t.threshold_dbm
             lines.append(
                 f"{t.name}: target {t.threshold_dbm:+.2f} dBm, achieved "
                 f"{achieved:+.4f} dBm, residual {residual:+.4f} dB "
                 f"(|residual| <= {CALIBRATION_TOL_DB} dB)"
             )
-        head = group[0]
-        sections.append(
-            _serialize_param_set(head.name, params, head, achieved_by_name[head.name])
-        )
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(sections))

@@ -109,7 +109,7 @@ _TRACE_CHUNK = 1024
 LEDGER_REL_TOL = 1e-6
 
 #: Engine._offer when no offer stands: no dt equals it.
-_NO_OFFER = (None, 0)
+_NO_OFFER = (None, 0, None)
 
 #: The least positive float: bound - t >= _ANY_TIME exactly when t < bound.
 _ANY_TIME = math.ulp(0.0)
@@ -177,6 +177,8 @@ class EngineConfig:
         positive("dt_fine", self.dt_fine)
         not_below("dt_coarse", self.dt_coarse, "dt_fine", self.dt_fine)
         positive("t_end", self.t_end)
+        # Below 2**52 fine steps ulp(t) < dt_fine, so every step moves t.
+        not_below("2**52 dt_fine", 2.0 ** 52 * self.dt_fine, "t_end", self.t_end)
         if self.max_transmissions is not None:
             count("max_transmissions", self.max_transmissions)
         if self.stop_stored_j is not None:
@@ -314,8 +316,6 @@ def _affine(x: float, b: float, y0: float, k: int) -> tuple[float, float, float]
     binomial series in x, finite and exact at x = 0 (no leak, a == 1); above
     that from a**k = exp(k log1p(-x)), where the differences no longer cancel.
     """
-    if y0 == 0.0 and b == 0.0:
-        return 0.0, 0.0, 0.0
     if x * k < 0.5:
         m1, m2 = _series_sums(x, k)
         d = b - x * y0
@@ -442,7 +442,7 @@ class Engine:
 
         self._span: tuple | None = None  # the quiet span's plan (see _plan)
         self._trace = None  # open trace CSV while run() writes one row per step
-        self._offer: tuple = _NO_OFFER  # _pick_dt's (dt, steps), until step() takes it
+        self._offer: tuple = _NO_OFFER  # _pick_dt's (dt, steps, sub-step), until step() takes it
 
         self.transmissions = 0
         self.aborted_cycles = 0
@@ -513,23 +513,12 @@ class Engine:
         else:
             self._p_ideal = self.scenario.frontend.ideal_efficiency * p_del
 
-    def _substep_dt(self) -> float:
-        """The single-step size rule: dt_fine in a check or cycle, else
-        dt_coarse cut once (never below dt_fine) to land on the earlier of
-        the wake-up (inf in Cold) and the window end; and on t_end.
-        Refreshes a stale window first."""
-        if self.t >= self._window_until:
-            self._refresh_window()
-        eng = self.scenario.engine
-        dt = eng.dt_fine
-        if not self.sm.state.fine:
-            cut = min(self.sm.next_wake, self._window_until) - self.t
-            dt = eng.dt_coarse if cut >= eng.dt_coarse else max(dt, cut)
-        return min(dt, eng.t_end - self.t)
-
     def _pick_dt(self) -> float:
         """dt of the next step() call: a stretch of two or more steps when
-        one is open, else the single-step rule.
+        one is open, else one step of the single-step rule: dt_fine in a
+        check or a cycle, else dt_coarse cut once (never below dt_fine) to
+        land on the earlier of the wake-up (inf in Cold) and the window
+        end; either capped at t_end.  A stale window is refreshed first.
 
         Steps are checked on the clock they will advance (see _advance).
         In Cold or Sleep a coarse stretch takes the whole coarse steps
@@ -545,8 +534,9 @@ class Engine:
         never cut short there), counted by _steps_before.  With
         stop_stored_j set, either kind also ends at the last step before
         which the stored energy provably stays below it.
-        The offer stands until step() takes it, and step() takes no other
-        dt: _pick_dt is the one owner of step sizes."""
+        The offer, (dt, steps, the sub-step), stands until step() takes it,
+        and step() takes no other dt: _pick_dt is the one owner of step
+        sizes."""
         if self.t >= self._window_until:
             self._refresh_window()
         until = self._window_until
@@ -554,11 +544,12 @@ class Engine:
         n = 0
         if not sm.state.fine:
             dt = self._dtc
-            bound = self._t_end
-            if sm.next_wake < bound:
-                bound = sm.next_wake
+            bound = sm.next_wake
             if until < bound:
                 bound = until
+            cut = bound - self.t  # the single step's cut (t_end caps it after)
+            if self._t_end < bound:
+                bound = self._t_end
             span = bound - self.t
             if self._wake < span:
                 span = self._wake
@@ -575,11 +566,13 @@ class Engine:
         if n > 1 and self._stop is not None:
             n = min(n, self._stored_steps(dt))
         if n > 1:
-            dt *= n
-            self._offer = (dt, n)
-            return dt
-        dt = self._substep_dt()
-        self._offer = (dt, 1)
+            self._offer = (dt * n, n, dt)
+            return dt * n
+        dt = self.scenario.engine.dt_fine
+        if not sm.state.fine:
+            dt = self._dtc if cut >= self._dtc else max(dt, cut)
+        dt = min(dt, self._t_end - self.t)
+        self._offer = (dt, 1, dt)
         return dt
 
     def _steps_before(self, bound: float, dt: float, left: float) -> int:
@@ -629,9 +622,9 @@ class Engine:
     def step(self, dt: float) -> None:
         """Advance the pipeline by dt, the stretch or the single step
         _pick_dt offered at this t; any other dt, or an offer already
-        taken, raises before anything moves.  A stretch's steps are whole
-        steps of dt_coarse, or of dt_fine in a check or a cycle phase, as
-        the single-step rule sizes them.  Runs of quiet ones are closed-form
+        taken, raises before anything moves.  A stretch's steps are the
+        offer's sub-step: whole steps of dt_coarse, or of dt_fine in a check
+        or a cycle phase.  Runs of quiet ones are closed-form
         macro-steps (_quiet); a pump episode's steps, a cycle phase's and
         the rest go to _step_one.  Every step moves the one clock
         (_advance), so a stretch ends on the t its steps taken one per call
@@ -641,7 +634,7 @@ class Engine:
         and ends early only on the step that changes the state: a brown-out
         in a check, an abort in a cycle.
         """
-        dt_offer, n = self._offer
+        dt_offer, n, sub = self._offer
         if not (dt > 0 and dt == dt_offer):
             raise QuantityError(
                 f"dt {dt!r} is not the step _pick_dt offered at t = {self.t!r} "
@@ -653,7 +646,6 @@ class Engine:
             return
         state = self.sm.state
         fine = state.fine
-        sub = self.scenario.engine.dt_fine if fine else self._dtc  # as _pick_dt sized it
         while True:
             pumping = self.conv1.running and self._pump
             k = 0 if state.cycle or pumping else self._quiet(n, sub)
@@ -712,17 +704,15 @@ class Engine:
         if thevenin:
             grow = e_front = 0.0
             v_oc = self._v_oc
-            b1 = v_oc * bmul
-            if v1 < v_oc:
-                laws = ((xc, b1, k, None),)
-            else:
-                # At or above v_oc cap1 only leaks, down to the step that
-                # takes it below v_oc; from there it charges.  Neither law
-                # crosses v_oc from below.
+            # At or above v_oc cap1 only leaks, down to the step that takes
+            # it below v_oc; from there (below v_oc: from the start) it
+            # charges.  Neither law crosses v_oc from below.
+            kd, leaks = 0, None
+            if v1 >= v_oc:
                 kd, leaks = k, _affine(x1, 0.0, v1, k)
                 if leaks[0] < v_oc:
                     kd, leaks = _first_hit(x1, 0.0, v1, k, v_oc, v_oc.__gt__), None
-                laws = ((x1, 0.0, kd, leaks), (xc, b1, k - kd, None))
+            laws = ((x1, 0.0, kd, leaks), (xc, v_oc * bmul, k - kd, None))
             top, y = watch, v1
         else:
             e_in = self._p_ideal * dt
@@ -735,7 +725,6 @@ class Engine:
         # that reaches the pump's start voltage.
         k = 0
         q1 = 0.0  # sum of v1_j (v1_j + v1_j+1), or under ideal coupling of v1_j**2 + grow
-        taken = [] if self._trace is not None else None  # the segments, for _trace_rows
         for x, b, steps, out in laws:
             if not steps:
                 continue
@@ -751,8 +740,6 @@ class Engine:
                 y, s, ss = out
                 q1 += (2.0 - x) * ss + b * s if thevenin else s + ok * grow
                 k += ok
-                if taken is not None:
-                    taken.append((x, b, ok))
             if ok < steps:
                 break
         if not k:
@@ -763,7 +750,7 @@ class Engine:
         c1 = self.c1
         led = self.ledger
         if self._trace is not None:
-            self._trace_rows(taken, thevenin, v1, v2, 1.0 - x2, b2, grow,
+            self._trace_rows(laws, k, thevenin, v1, v2, 1.0 - x2, b2, grow,
                              (c_leak1, c_leak2, c_mon, e_front))
         hc1 = 0.5 * c1
         harvested, front, leaked, mon = _quiet_book(
@@ -782,10 +769,7 @@ class Engine:
             led.e_load_total += mon
         self.v1, self.v2 = v1k, v2k
         if self._trace is not None:
-            self._trace.write(_TRACE_ROW % (
-                self.t, self._window_dbm, v1k, v2k, self.sm.state.value, led.e_harvested,
-                led.e_converter_loss + led.e_load_total, led.e_leaked,
-            ))
+            self._write_row()
         led.e_stored_delta = 0.5 * (c1 * v1k * v1k + self.c2 * v2k * v2k) - led.e_initial
         led.steps += k
         led.unbooked += 1  # v2k's rounding
@@ -799,17 +783,25 @@ class Engine:
         led.check()
         return k
 
-    def _trace_rows(self, laws, thevenin, v1, v2, a2, b2, grow, coefs):
-        """Write the rows of a macro-step's steps but its last, once the
+    def _write_row(self) -> None:
+        """Write the trace row of the state the last step reached."""
+        led = self.ledger
+        self._trace.write(_TRACE_ROW % (
+            self.t, self._window_dbm, self.v1, self.v2, self.sm.state.value,
+            led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked,
+        ))
+
+    def _trace_rows(self, laws, k, thevenin, v1, v2, a2, b2, grow, coefs):
+        """Write the rows of a macro-step's k steps but its last, once the
         clock has moved over them, in one pass and at most _TRACE_CHUNK
         rows per write: each row's t is read from the anchor, cap1 steps
-        through laws (under ideal coupling as v1**2), cap2 through (a2, b2),
-        and the running sums are booked with _quiet_book's expressions in
-        its order, coefs its coefficients, so the bytes are those of
-        _TRACE_ROW.  What holds over the macro-step is decided once: the
-        level and the state, the consumed energy when nothing draws or
-        loses (every Cold row under thevenin coupling), and the clock's
-        format, from integers when the anchor and dt are whole."""
+        through the laws' segments up to k steps (under ideal coupling as
+        v1**2), cap2 through (a2, b2), and the running sums are booked with
+        _quiet_book's expressions in its order, coefs its coefficients, so
+        the bytes are those of _TRACE_ROW.  What holds over the macro-step
+        is decided once: the level and the state, the consumed energy when
+        nothing draws or loses (every Cold row under thevenin coupling), and
+        the clock's format, from integers when the anchor and dt are whole."""
         c_leak1, c_leak2, c_mon, e_front = coefs
         led = self.ledger
         h0, used0, leaked0 = led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked
@@ -818,7 +810,7 @@ class Engine:
         y = v1 if thevenin else v1 * v1
         q1 = q2 = p2 = 0.0
         j = 0
-        left = sum(steps for _, _, steps in laws) - 1
+        left = k - 1
         t_a, dt, k = self._t_a, self._dt_a, self._j  # the rows are steps k - left .. k - 1
         # A whole t below 2**53 is exact, and "%.6f" prints it as "%d.000000".
         if t_a.is_integer() and float(dt).is_integer() and self.t < 2.0 ** 53:
@@ -834,7 +826,7 @@ class Engine:
             self._window_dbm, self.sm.state.value, "%.10g" % used0 if still else "%.10g")
         sqrt = math.sqrt
         write = self._trace.write
-        for x, b, steps in laws:
+        for x, b, steps, _ in laws:
             a = 1.0 - x
             steps = min(steps, left)
             left -= steps
@@ -905,11 +897,10 @@ class Engine:
         self.v1 = v1
         self.v2 = v2
         e_extracted = e1_after - 0.5 * c1 * v1 * v1
-        e_deposited = 0.5 * c2 * v2 * v2 - e2_pre
-        led.e_converter_loss += e_extracted - e_deposited
+        e2_before = 0.5 * c2 * v2 * v2  # after the pump, before the management
+        led.e_converter_loss += e_extracted - (e2_before - e2_pre)
 
         # Management: monitor draw and, during cycles, converter-2 loads.
-        e2_before = 0.5 * c2 * v2 * v2
         i_draw = 0.0
         draws: tuple[tuple[str, float], ...] = ()
         event = ""
@@ -970,10 +961,7 @@ class Engine:
             counts.coarse_quiet += 1
         led.check()
         if self._trace is not None:
-            self._trace.write(_TRACE_ROW % (
-                self.t, self._window_dbm, self.v1, v2, self.sm.state.value,
-                led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked,
-            ))
+            self._write_row()
 
     def run(self, trace_path: str | None = None) -> SimResult:
         eng = self.scenario.engine

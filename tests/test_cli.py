@@ -249,6 +249,9 @@ def test_run_missing_scenario_file_exits_with_usage_error(capsys):
      "error: sensor on-time 1e+306 s spans too many"),
     (["realistic_default", "--until", "3600", "--until-joules", "inf"],
      "error: stop_stored_j must be positive and finite, got inf"),
+    # Past 2**52 fine steps a step no longer moves the clock.
+    (["realistic_default", "--until", "1e22", "--until-tx", "1"],
+     "below t_end 1e+22"),
 ])
 def test_run_rejects_out_of_range_values(tmp_path, capsys, text, message):
     """A scenario text, or the arguments after `run`, that exit 2 before
@@ -516,6 +519,31 @@ def test_calibrate_single_custom_target(tmp_path, capsys):
     ini.read(out_path)
     assert ini.sections() == ["schottky_12st_250MHz"]
     assert ini["schottky_12st_250MHz"]["stages"] == "12"
+
+
+def test_long_horizon_still_transmits_on_the_same_step(capsys):
+    """A horizon near the clock's range, about 127,000 years of fine steps,
+    runs to the shipped realistic scenario's first transmission."""
+    code, out, _ = _run(capsys, ["run", "realistic_default", "--until", "4e12",
+                                 "--until-tx", "1"])
+    assert code == 0
+    assert "time to first transmission: 2293359.0 s" in out
+
+
+def test_calibrate_header_reports_the_head_target(tmp_path, capsys):
+    """Two targets on one operating point share a parameter set; its
+    header reports the head target, whose tank_q the set holds."""
+    out_path = tmp_path / "two.ini"
+    code, _, _ = _run(capsys, [
+        "calibrate",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.8184",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.83",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[1] == "# target -37.00 dBm, achieved -37.0000 dBm, residual +0.0000 dB"
+    assert "tank_q = 2.8184" in lines
 
 
 def test_calibrate_contradictory_targets_fail_loudly(tmp_path, capsys):

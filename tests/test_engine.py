@@ -1,6 +1,7 @@
 """Integrated engine runs: anchors, conservation, determinism, stepping."""
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -271,6 +272,9 @@ def test_engine_config_validation():
         EngineConfig(dt_coarse=1.0, dt_fine=2.0)
     with pytest.raises(QuantityError):
         EngineConfig(t_end=0.0)
+    with pytest.raises(QuantityError, match="t_end"):
+        EngineConfig(t_end=1e22)  # past 2**52 fine steps a step no longer moves t
+    assert EngineConfig(t_end=2.0 ** 52 * 1e-3).t_end == 2.0 ** 52 * 1e-3
     with pytest.raises(QuantityError):
         EngineConfig(max_transmissions=0)
     with pytest.raises(QuantityError):
@@ -736,7 +740,8 @@ def _run_single_steps(scn: Scenario) -> tuple:
     cfg = scn.engine
     stop_reason = "t_end"
     while eng.t < cfg.t_end - 1e-12:
-        eng._step_one(eng._substep_dt())
+        eng._pick_dt()
+        eng._step_one(eng._offer[2])
         if cfg.max_transmissions is not None and eng.transmissions >= cfg.max_transmissions:
             stop_reason = "transmissions"
             break
@@ -889,7 +894,8 @@ def test_trace_rows_follow_single_steps(scn, tmp_path):
     eng = Engine(scn)
     want = []
     while eng.t < scn.engine.t_end - 1e-12:
-        eng._step_one(eng._substep_dt())
+        eng._pick_dt()
+        eng._step_one(eng._offer[2])
         led = eng.ledger
         want.append((eng.t, eng.sm.state.value, eng.v1, eng.v2, led.e_harvested,
                      led.e_converter_loss + led.e_load_total, led.e_leaked))
@@ -1104,7 +1110,8 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
     eng = Engine(scn)
     rows = [(eng.t, eng.v1, eng.v2, eng.sm.state.value)]
     while eng.t < scn.engine.t_end - 1e-12 and eng.transmissions < 1:
-        eng._step_one(eng._substep_dt())
+        eng._pick_dt()
+        eng._step_one(eng._offer[2])
         rows.append((eng.t, eng.v1, eng.v2, eng.sm.state.value))
     i = next(i for i in range(1, len(rows)) if event(rows[i - 1], rows[i]))
     t_event = rows[i][0]
@@ -1148,17 +1155,20 @@ def test_events_inside_a_stretch_land_on_the_single_step_index(monkeypatch, tmp_
 @pytest.mark.parametrize("b", [0.0, 4e-4, -2e-3])
 def test_affine_closed_form_matches_exact_steps(x, b):
     """The macro-step's closed form against k steps of y <- (1 - x) y + b
-    in exact rational arithmetic, on both sides of its switch at x k = 1/2
-    and at x = 0 (r_leak = inf): y_k and the sums of y_j and y_j**2 to
-    1e-13 relative, and their scale where the law passes through 0."""
-    y0 = 1.9
-    for k in (1, 2, 3, 60, 120):
+    in exact rational arithmetic, from y0 = 1.9 and from 0, on both sides
+    of its switch at x k = 1/2 and at x = 0 (r_leak = inf): y_k and the
+    sums of y_j and y_j**2 to 1e-13 relative, and their scale where the
+    law passes through 0.  The zero law (y0 = b = 0) gives exact zeros on
+    both sides."""
+    for y0, k in itertools.product((1.9, 0.0), (1, 2, 3, 60, 120)):
         a, y, sum1, sum2 = 1 - Fraction(x), Fraction(y0), Fraction(0), Fraction(0)
         for _ in range(k):
             sum1 += y
             sum2 += y * y
             y = a * y + Fraction(b)
         got = engine_module._affine(x, b, y0, k)
+        if y0 == b == 0.0:
+            assert repr(got) == repr((0.0, 0.0, 0.0)), k
         scale = (y0 + k * abs(b), k * y0, k * y0 * y0)
         for value, want, size in zip(got, (y, sum1, sum2), scale):
             assert value == pytest.approx(float(want), rel=1e-13, abs=1e-15 * size), (k, value)
