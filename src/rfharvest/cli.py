@@ -248,7 +248,7 @@ def _parse_target(spec: str) -> CalibrationTarget:
         q = float(parts[4]) if len(parts) == 5 else 1.0
     except ValueError as exc:
         raise ScenarioError(f"target {spec!r}: {exc}") from None
-    name = f"{device.value}_{stages}st_{carrier / 1e6:g}MHz"
+    name = f"{device.value}_{stages}st_{carrier / 1e6:g}MHz" + (f"_q{q:g}" if q != 1.0 else "")
     return CalibrationTarget(
         name, device, stages, carrier, ResonantTank(carrier, q), dbm
     )
@@ -278,11 +278,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not targets:
         raise ScenarioError("nothing to calibrate: give --preset paper or --target")
 
-    # One parameter set per distinct hardware operating point; duplicate
-    # points with different thresholds land in one group and fail there.
+    # One parameter set per distinct hardware operating point, tank included;
+    # duplicate points with different thresholds land in one group and fail there.
     groups: dict[tuple, list[CalibrationTarget]] = {}
     for t in targets:
-        groups.setdefault((t.device, t.stages, t.carrier_hz), []).append(t)
+        groups.setdefault((t.device, t.stages, t.carrier_hz, t.tank), []).append(t)
 
     sections: list[str] = []
     lines: list[str] = []

@@ -219,26 +219,17 @@ class Phase:
     next: NodeState
 
 
-@dataclass(frozen=True)
-class CyclePlan:
-    """The phase table (Handoff, Measure, Transmit) and both switches
-    open, as in Shutdown and after teardown."""
-
-    phases: dict[NodeState, Phase]
-    idle: tuple[LoadSwitch, LoadSwitch]
-
-
 def build_cycle_plan(
     profiles: tuple[LoadProfile, ...],
     sw_sensor: LoadSwitch,
     sw_zigbee: LoadSwitch,
-) -> CyclePlan:
-    """Derive the cycle's phase table from the budget rows.
+) -> dict[NodeState, Phase]:
+    """Derive the cycle's phase table, Boot to Shutdown, from the budget rows.
 
     The controller row spans the whole cycle, so the handoff phase is what
-    remains of its on-time after the measure and transmit phases.  Switch
-    conduction loss (i^2 r_on while conducting) rides on the same rail and
-    is charged alongside the load it serves.
+    remains of its on-time after the measure and transmit phases; Boot and
+    Shutdown take no time and draw nothing.  Switch conduction loss (i^2
+    r_on while conducting) is charged alongside the load it serves.
     """
     rows = {p.name: p for p in profiles}
     try:
@@ -257,14 +248,13 @@ def build_cycle_plan(
         return Phase(f"{p.name} on-time", p.t, draws, switches, next_state)
 
     handoff = max(0.0, ctrl.t - sensor.t - zigbee.t)
-    return CyclePlan(
-        phases={
-            NodeState.HANDOFF: Phase("handoff", handoff, (controller,), idle, NodeState.MEASURE),
-            NodeState.MEASURE: load_phase(sensor, sw_sensor, sensor_on, NodeState.TRANSMIT),
-            NodeState.TRANSMIT: load_phase(zigbee, sw_zigbee, zigbee_on, NodeState.SHUTDOWN),
-        },
-        idle=idle,
-    )
+    return {
+        NodeState.BOOT: Phase("boot", 0.0, (), idle, NodeState.HANDOFF),
+        NodeState.HANDOFF: Phase("handoff", handoff, (controller,), idle, NodeState.MEASURE),
+        NodeState.MEASURE: load_phase(sensor, sw_sensor, sensor_on, NodeState.TRANSMIT),
+        NodeState.TRANSMIT: load_phase(zigbee, sw_zigbee, zigbee_on, NodeState.SHUTDOWN),
+        NodeState.SHUTDOWN: Phase("shutdown", 0.0, (), idle, NodeState.SLEEP),
+    }
 
 
 def monitor_step(
@@ -336,7 +326,7 @@ def duration_steps(label: str, duration_s: float, dt: float) -> int:
 
 def cycle_substep(
     sm: NodeStateMachine,
-    plan: CyclePlan,
+    plan: dict[NodeState, Phase],
     conv2: DcDcConverter,
     v_cap2: float,
     dt: float,
@@ -348,6 +338,10 @@ def cycle_substep(
     the switches are the phase table's as they stand after the step, and
     event is "" while the cycle runs, "done" after a clean shutdown, or
     "abort" when the converter dropped out mid-cycle.
+
+    Each row counts sm.phase_steps_left down and ends on the step that
+    reaches zero.  Boot is always entered at 0 (the check's countdown ends
+    there, and a new machine starts at 0), so it takes one step.
     """
     state = sm.state
     if not state.cycle:
@@ -364,28 +358,21 @@ def cycle_substep(
         sm.enable_monitor = False
         sm.state = NodeState.SLEEP
         event = "done" if state is NodeState.SHUTDOWN else "abort"
-        return (), replace(conv2, enabled=False, running=False), *plan.idle, event
+        off = replace(conv2, enabled=False, running=False)
+        return (), off, *plan[NodeState.SHUTDOWN].switches, event
 
-    if state is NodeState.BOOT:
-        # Converter is up; the controller raises its hold for the first phase.
-        sm.enable_controller = True
-        draws, state = (), NodeState.HANDOFF
-    else:
-        row = plan.phases[state]
-        sm.phase_steps_left -= 1
-        if sm.phase_steps_left > 0:
-            return row.draws, conv2, *row.switches, ""
-        # The monitor's hold ends with the handoff: the controller owns the line.
+    row = plan[state]
+    sm.phase_steps_left -= 1
+    if sm.phase_steps_left > 0:
+        return row.draws, conv2, *row.switches, ""
+    # The controller holds from Boot's end; the monitor lets go after the handoff.
+    sm.enable_controller = True
+    if state is not NodeState.BOOT:
         sm.enable_monitor = False
-        draws, state = row.draws, row.next
-
-    sm.state = state
-    row = plan.phases.get(state)
-    if row is None:  # Shutdown: the next step tears down
-        sm.phase_steps_left = 0
-        return draws, conv2, *plan.idle, ""
-    sm.phase_steps_left = duration_steps(row.label, row.on_s, dt)
-    return draws, conv2, *row.switches, ""
+    sm.state = row.next
+    nxt = plan[row.next]
+    sm.phase_steps_left = duration_steps(nxt.label, nxt.on_s, dt)
+    return row.draws, conv2, *nxt.switches, ""
 
 
 def run_cycle(
@@ -437,7 +424,6 @@ def run_cycle(
         )
     )
     eng.sm = sm
-    state_before = sm.state
     while sm.state.cycle:
         state_before = sm.state
         eng.step(eng._pick_dt())

@@ -68,6 +68,21 @@ def test_budget_lists_assumptions_but_not_explicit_keys(tmp_path, capsys):
     assert "frontend.stages = 25 (from preset)" in out
 
 
+def test_budget_of_a_fully_explicit_scenario_lists_no_assumptions(tmp_path, capsys):
+    """A scenario that sets every applicable key prints no assumptions block."""
+    sections: dict[str, list[str]] = {}
+    for key, value, _ in parse_scenario("").assumptions():
+        section, _, name = key.partition(".")
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+    scn = _write(tmp_path, "explicit.scenario", text)
+    assert parse_scenario(text).assumptions() == []
+    code, out, _ = _run(capsys, ["budget", scn])
+    assert code == 0
+    assert "== Power budget ==" in out
+    assert "Assumptions" not in out
+
+
 def test_budget_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "budget.txt"
     code, out, _ = _run(capsys, ["budget", "--out", str(out_path)])
@@ -531,8 +546,8 @@ def test_long_horizon_still_transmits_on_the_same_step(capsys):
 
 
 def test_calibrate_header_reports_the_head_target(tmp_path, capsys):
-    """Two targets on one operating point share a parameter set; its
-    header reports the head target, whose tank_q the set holds."""
+    """A parameter set's header reports the target it was fit to, whose
+    tank_q the set holds."""
     out_path = tmp_path / "two.ini"
     code, _, _ = _run(capsys, [
         "calibrate",
@@ -544,6 +559,27 @@ def test_calibrate_header_reports_the_head_target(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[1] == "# target -37.00 dBm, achieved -37.0000 dBm, residual +0.0000 dB"
     assert "tank_q = 2.8184" in lines
+
+
+def test_calibrate_gives_each_tank_its_own_set(tmp_path, capsys):
+    """Targets that differ only in tank_q are distinct operating points:
+    each gets its own set, named with its Q, and fits to its own power."""
+    out_path = tmp_path / "two.ini"
+    code, out, _ = _run(capsys, [
+        "calibrate",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.8184",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.83",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    assert f"wrote 2 parameter set(s) to {out_path}" in out
+    ini = configparser.ConfigParser()
+    ini.read(out_path)
+    names = ["zero_vt_mosfet_25st_100MHz_q2.8184", "zero_vt_mosfet_25st_100MHz_q2.83"]
+    assert ini.sections() == names
+    assert [ini[n]["tank_q"] for n in names] == ["2.8184", "2.83"]
+    headers = [line for line in out_path.read_text().splitlines() if line.startswith("#")]
+    assert headers == ["# target -37.00 dBm, achieved -37.0000 dBm, residual +0.0000 dB"] * 2
 
 
 def test_calibrate_contradictory_targets_fail_loudly(tmp_path, capsys):

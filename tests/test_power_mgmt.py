@@ -180,8 +180,11 @@ def test_monitor_sleep_draw_during_cycle_states():
 def test_build_cycle_plan_timing_and_switch_losses():
     profiles = table1_profiles()
     plan = build_cycle_plan(profiles, LoadSwitch("sensor"), LoadSwitch("zigbee"))
-    assert list(plan.phases) == [NodeState.HANDOFF, NodeState.MEASURE, NodeState.TRANSMIT]
-    handoff, measure, transmit = plan.phases.values()
+    assert list(plan) == [NodeState.BOOT, NodeState.HANDOFF, NodeState.MEASURE,
+                          NodeState.TRANSMIT, NodeState.SHUTDOWN]
+    boot, handoff, measure, transmit, shutdown = plan.values()
+    for row in (boot, shutdown):
+        assert row.on_s == 0.0 and row.draws == ()
     assert handoff.on_s == pytest.approx(0.3, rel=1e-12)  # 8 - 5 - 2.7
     assert measure.on_s == 5.0
     assert transmit.on_s == 2.7
@@ -194,11 +197,13 @@ def test_build_cycle_plan_timing_and_switch_losses():
     assert measure.draws[2][1] == pytest.approx(0.00055**2 * 0.045, rel=1e-12)
     assert transmit.draws[1][1] == pytest.approx(0.1155, rel=1e-12)
     assert transmit.draws[2][1] == pytest.approx(0.035**2 * 0.045, rel=1e-12)
-    assert (handoff.next, measure.next, transmit.next) == (
-        NodeState.MEASURE, NodeState.TRANSMIT, NodeState.SHUTDOWN
-    )
+    assert [row.next for row in plan.values()] == [
+        NodeState.HANDOFF, NodeState.MEASURE, NodeState.TRANSMIT,
+        NodeState.SHUTDOWN, NodeState.SLEEP,
+    ]
     closed = lambda switches: [sw.name for sw in switches if sw.closed]
-    assert closed(handoff.switches) == [] and closed(plan.idle) == []
+    for row in (boot, handoff, shutdown):
+        assert closed(row.switches) == []
     assert closed(measure.switches) == ["sensor"]
     assert closed(transmit.switches) == ["zigbee"]
     with pytest.raises(ScenarioError):
@@ -350,6 +355,33 @@ def test_cycle_enable_line_continuity_and_switch_windows():
     assert sm.state is NodeState.SLEEP
     assert not sm.enable_line
     assert not sw_s.closed and not sw_z.closed
+
+
+@pytest.mark.parametrize("dt, counts", [
+    (1e-3, (1, 300, 5000, 2700, 1)),  # 8,002 steps: the README's 8.002 s
+    (7e-3, (1, 43, 714, 386, 1)),
+])
+def test_cycle_step_counts_per_state(dt, counts):
+    """One cycle from a fresh Boot machine at 1.0 V spends one step in
+    Boot and in Shutdown, each drawing nothing with both switches open,
+    and each powered phase its on-time rounded to whole steps."""
+    sm = _boot_machine()
+    conv2 = dcdc_update_running(DcDcConverter(enabled=True), 1.0)
+    plan = build_cycle_plan(table1_profiles(), LoadSwitch("sensor"), LoadSwitch("zigbee"))
+    steps = dict.fromkeys(
+        (NodeState.BOOT, NodeState.HANDOFF, NodeState.MEASURE,
+         NodeState.TRANSMIT, NodeState.SHUTDOWN), 0
+    )
+    event = ""
+    while event != "done":
+        state_before = sm.state
+        draws, conv2, sw_s, sw_z, event = cycle_substep(sm, plan, conv2, 1.0, dt)
+        steps[state_before] += 1
+        if state_before in (NodeState.BOOT, NodeState.SHUTDOWN):
+            assert draws == ()
+            assert not sw_s.closed and not sw_z.closed
+    assert tuple(steps.values()) == counts
+    assert sm.state is NodeState.SLEEP
 
 
 def test_steppers_refuse_a_state_they_do_not_own():

@@ -258,3 +258,10 @@ def test_mean_power_watts_trace_is_time_weighted():
     assert mean_power_watts(src) == pytest.approx((10 * 1e-6 + 30 * 1e-7) / 40, rel=1e-12)
     single = TraceSource(samples=((0.0, -30.0),))
     assert mean_power_watts(single) == pytest.approx(1e-6, rel=1e-12)
+
+
+@pytest.mark.parametrize("walk", [lambda m: windows(m, 0.0), mean_power_watts],
+                         ids=["windows", "mean_power_watts"])
+def test_unknown_source_model_is_refused(walk):
+    with pytest.raises(TypeError, match="unknown source model"):
+        walk(object())
