@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .errors import CalibrationError, QuantityError
 from .quantities import count, dbm_to_watts, fraction, nonnegative, positive, watts_to_dbm
@@ -139,23 +138,17 @@ def tank_gain(tank: ResonantTank, f_hz: float) -> float:
     return tank.q / math.sqrt(1.0 + tank.q * tank.q * x * x)
 
 
-def _stage_sum(alpha: float, stages: int) -> float:
-    """Sum of the geometric per-stage contributions: 1 + a + ... + a^(N-1)."""
-    if alpha == 1.0:
-        return float(stages)
-    return (1.0 - alpha**stages) / (1.0 - alpha)
-
-
 def chain_constants(
     params: RectifierParams, tank: ResonantTank, carrier_hz: float
 ) -> tuple[tuple[float, float, float, float], float]:
     """What the chain's Thevenin pair needs besides the delivered power:
-    (tank gain at the carrier, r_in, v_drop, stage sum) for chain_v_oc,
-    and r_out, the per-stage series resistance times the stage count,
-    which does not depend on the power."""
-    consts = (tank_gain(tank, carrier_hz), params.r_in, params.v_drop,
-              _stage_sum(params.alpha, params.stages))
-    return consts, params.stages * params.r_out_per_stage
+    (tank gain at the carrier, r_in, v_drop, stage sum 1 + a + ... +
+    a^(N-1)) for chain_v_oc and its two inverses, and r_out, the per-stage
+    series resistance times the stage count, which does not depend on it."""
+    alpha, stages = params.alpha, params.stages
+    stage_sum = float(stages) if alpha == 1.0 else (1.0 - alpha**stages) / (1.0 - alpha)
+    consts = (tank_gain(tank, carrier_hz), params.r_in, params.v_drop, stage_sum)
+    return consts, stages * params.r_out_per_stage
 
 
 def chain_v_oc(p_delivered_w: float, gain: float, r_in: float, v_drop: float,
@@ -195,10 +188,10 @@ def sensitivity_threshold_dbm(
     is target / stage_sum, the required drive is half that plus the device
     drop, and the power follows from the input amplitude relation.
     """
-    s_needed = SENSITIVITY_TARGET_V / _stage_sum(params.alpha, params.stages)
-    v_peak_needed = 0.5 * s_needed + params.v_drop
-    gain = tank_gain(tank, carrier_hz)
-    p = (v_peak_needed / gain) ** 2 / (2.0 * params.r_in)
+    (gain, r_in, v_drop, stage_sum), _ = chain_constants(params, tank, carrier_hz)
+    s_needed = SENSITIVITY_TARGET_V / stage_sum
+    v_peak_needed = 0.5 * s_needed + v_drop
+    p = (v_peak_needed / gain) ** 2 / (2.0 * r_in)
     return watts_to_dbm(p)
 
 
@@ -214,49 +207,28 @@ class CalibrationTarget:
     threshold_dbm: float
 
 
-def calibrate_sensitivity(targets: Sequence[CalibrationTarget]) -> RectifierParams:
-    """Fit v_drop so the chain hits the targets.
+def calibrate_sensitivity(target: CalibrationTarget) -> RectifierParams:
+    """Fit v_drop so the chain hits the target.
 
     alpha, r_in and r_out_per_stage keep their RectifierParams defaults, the
-    shared anchors.  v_drop is sensitivity_threshold_dbm solved for it at
-    the first target: the drive amplitude at the target power less half the
-    first-stage contribution SENSITIVITY_TARGET_V needs.  Every target is
-    then verified to within CALIBRATION_TOL_DB.  All targets in one call
-    must describe the same device and stage count; distinct operating
-    points get distinct parameter sets.
+    shared anchors.  v_drop is sensitivity_threshold_dbm solved for it: the
+    drive amplitude at the target power less half the first-stage
+    contribution SENSITIVITY_TARGET_V needs.
     """
-    if not targets:
-        raise CalibrationError("no calibration targets given")
-    first = targets[0]
-    for t in targets[1:]:
-        if t.device != first.device or t.stages != first.stages:
-            raise CalibrationError(
-                f"targets {first.name!r} and {t.name!r} describe different "
-                "hardware; calibrate them separately"
-            )
-    base = RectifierParams(stages=first.stages, device=first.device)
-    v_peak = tank_gain(first.tank, first.carrier_hz) * math.sqrt(
-        2.0 * base.r_in * dbm_to_watts(first.threshold_dbm))
-    v_drop = v_peak - 0.5 * SENSITIVITY_TARGET_V / _stage_sum(base.alpha, base.stages)
+    base = RectifierParams(stages=target.stages, device=target.device)
+    (gain, r_in, _, stage_sum), _ = chain_constants(base, target.tank, target.carrier_hz)
+    v_peak = gain * math.sqrt(2.0 * r_in * dbm_to_watts(target.threshold_dbm))
+    v_drop = v_peak - 0.5 * SENSITIVITY_TARGET_V / stage_sum
     # A target at the drop-free chain's own threshold comes back through
     # dBm and the square root a few ulps off v_peak: that is v_drop = 0.
     if -16 * math.ulp(v_peak) <= v_drop < 0.0:
         v_drop = 0.0
     if not v_drop >= 0.0:
         raise CalibrationError(
-            f"target {first.name!r} ({first.threshold_dbm} dBm) needs v_drop "
+            f"target {target.name!r} ({target.threshold_dbm} dBm) needs v_drop "
             f"{v_drop!r} V < 0: with no device drop it reaches 0.5 V at less power"
         )
-    fitted = replace(base, v_drop=v_drop)
-
-    for t in targets:
-        err = sensitivity_threshold_dbm(fitted, t.tank, t.carrier_hz) - t.threshold_dbm
-        if abs(err) > CALIBRATION_TOL_DB:
-            raise CalibrationError(
-                f"target {t.name!r} missed by {err:+.3f} dB with the fitted "
-                "v_drop; targets are contradictory or infeasible"
-            )
-    return fitted
+    return replace(base, v_drop=v_drop)
 
 
 @dataclass(frozen=True)
@@ -302,7 +274,7 @@ def builtin_frontend_presets() -> dict[str, FrontendPreset]:
     """
     presets: dict[str, FrontendPreset] = {}
     for name, target in preset_targets().items():
-        params = calibrate_sensitivity([target])
+        params = calibrate_sensitivity(target)
         presets[name] = FrontendPreset(
             name=name,
             params=params,

@@ -35,7 +35,7 @@ from .analog_frontend import (
     sensitivity_threshold_dbm,
 )
 from .engine import Engine, Scenario, SimResult, run_scenario
-from .errors import LedgerError, RfHarvestError, ScenarioError
+from .errors import CalibrationError, LedgerError, RfHarvestError, ScenarioError
 from .power_mgmt import LoadProfile, cycle_energy
 from .rf_environment import mean_power_watts
 from .scenario import (
@@ -248,7 +248,11 @@ def _parse_target(spec: str) -> CalibrationTarget:
         q = float(parts[4]) if len(parts) == 5 else 1.0
     except ValueError as exc:
         raise ScenarioError(f"target {spec!r}: {exc}") from None
-    name = f"{device.value}_{stages}st_{carrier / 1e6:g}MHz" + (f"_q{q:g}" if q != 1.0 else "")
+    # Each number in full, so that two operating points never share a name: Q's
+    # round trip, and the carrier's in decimal MHz (carrier / 1e6 merges neighbours).
+    mhz = format(Decimal(repr(carrier)).scaleb(-6).normalize(), "f")
+    q_name = repr(q).removesuffix(".0")
+    name = f"{device.value}_{stages}st_{mhz}MHz" + (f"_q{q_name}" if q != 1.0 else "")
     return CalibrationTarget(
         name, device, stages, carrier, ResonantTank(carrier, q), dbm
     )
@@ -278,8 +282,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not targets:
         raise ScenarioError("nothing to calibrate: give --preset paper or --target")
 
-    # One parameter set per distinct hardware operating point, tank included;
-    # duplicate points with different thresholds land in one group and fail there.
+    # One parameter set per hardware operating point, tank included, fit to its
+    # head target; every target must then be met, or nothing is written.
     groups: dict[tuple, list[CalibrationTarget]] = {}
     for t in targets:
         groups.setdefault((t.device, t.stages, t.carrier_hz, t.tank), []).append(t)
@@ -287,12 +291,17 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sections: list[str] = []
     lines: list[str] = []
     for group in groups.values():
-        params = calibrate_sensitivity(group)
+        params = calibrate_sensitivity(group[0])
         for t in group:
             achieved = sensitivity_threshold_dbm(params, t.tank, t.carrier_hz)
             if t is group[0]:  # the section's header reports the head target
                 sections.append(_serialize_param_set(t.name, params, t, achieved))
             residual = achieved - t.threshold_dbm
+            if abs(residual) > CALIBRATION_TOL_DB:
+                raise CalibrationError(
+                    f"target {t.name!r} missed by {residual:+.3f} dB with the fitted "
+                    "v_drop; targets are contradictory or infeasible"
+                )
             lines.append(
                 f"{t.name}: target {t.threshold_dbm:+.2f} dBm, achieved "
                 f"{achieved:+.4f} dBm, residual {residual:+.4f} dB "

@@ -480,9 +480,9 @@ class Engine:
             xc, bmul = x1 + g, g
         else:  # ideal coupling deposits e_in, then the cap leaks: v1**2 is affine
             xc, bmul = x1 * (2.0 - x1), (1.0 - x1) * (1.0 - x1)
-        # Both laws keep a > 0 (a law with a <= 0 could ring through 0 V),
-        # and the pump is idle.
-        quiet = x1 + g < 1.0 and x2 < 1.0 and not (self.conv1.running and self._pump)
+        # Both laws keep a > 0 (a law with a <= 0 could ring through 0 V); the pump
+        # is idle, as step() calls _quiet only then and only _step_one starts it.
+        quiet = x1 + g < 1.0 and x2 < 1.0
         mon = self.scenario.management.monitor
         lo = mon.v_min_operate
         i_mon, kind = 0.0, ""

@@ -152,21 +152,10 @@ def test_calibrate_single_target_converges():
     target = CalibrationTarget(
         "custom", Device.SCHOTTKY, 12, 250e6, ResonantTank(250e6, 2.0), -22.0
     )
-    params = calibrate_sensitivity([target])
+    params = calibrate_sensitivity(target)
     assert (params.alpha, params.r_in) == (DEFAULT_ALPHA, DEFAULT_R_IN_OHM)
     achieved = sensitivity_threshold_dbm(params, target.tank, 250e6)
     assert abs(achieved - (-22.0)) <= CALIBRATION_TOL_DB
-
-
-def test_calibrate_contradictory_targets_fail():
-    t1 = CalibrationTarget(
-        "a", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -18.0
-    )
-    t2 = CalibrationTarget(
-        "b", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -28.0
-    )
-    with pytest.raises(CalibrationError):
-        calibrate_sensitivity([t1, t2])
 
 
 def test_calibrate_rejects_a_target_no_device_drop_reaches():
@@ -181,22 +170,9 @@ def test_calibrate_rejects_a_target_no_device_drop_reaches():
         return CalibrationTarget("a", Device.ZERO_VT_MOSFET, 20, 100e6, tank, dbm)
 
     with pytest.raises(CalibrationError, match="v_drop"):
-        calibrate_sensitivity([target(free - 1.0)])
-    assert calibrate_sensitivity([target(free + 1.0)]).v_drop > 0.0
-    assert calibrate_sensitivity([target(free)]).v_drop == 0.0
-
-
-def test_calibrate_rejects_mixed_hardware_and_no_targets():
-    t1 = CalibrationTarget(
-        "a", Device.SCHOTTKY, 20, 100e6, ResonantTank(100e6, 1.0), -18.0
-    )
-    t2 = CalibrationTarget(
-        "b", Device.ZERO_VT_MOSFET, 25, 100e6, ResonantTank(100e6, 1.0), -37.0
-    )
-    with pytest.raises(CalibrationError):
-        calibrate_sensitivity([t1, t2])
-    with pytest.raises(CalibrationError):
-        calibrate_sensitivity([])
+        calibrate_sensitivity(target(free - 1.0))
+    assert calibrate_sensitivity(target(free + 1.0)).v_drop > 0.0
+    assert calibrate_sensitivity(target(free)).v_drop == 0.0
 
 
 def test_preset_targets_match_reported_sensitivities():

@@ -582,6 +582,54 @@ def test_calibrate_gives_each_tank_its_own_set(tmp_path, capsys):
     assert headers == ["# target -37.00 dBm, achieved -37.0000 dBm, residual +0.0000 dB"] * 2
 
 
+def test_calibrate_names_each_set_with_its_exact_numbers(tmp_path, capsys):
+    """Tanks whose Q differ only past the sixth digit, and carriers one ulp
+    apart (whose quotients by 1e6 are one float), get a set each with a
+    name each, so the file reads back."""
+    out_path = tmp_path / "q.ini"
+    code, out, _ = _run(capsys, [
+        "calibrate",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.8184",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.81840001",
+        "--target", "schottky:20:1234.567e6:-18",
+        "--target", "zero_vt_mosfet:25:8218604573.116368:-10",
+        "--target", "zero_vt_mosfet:25:8218604573.116369:-10",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    assert f"wrote 5 parameter set(s) to {out_path}" in out
+    ini = configparser.ConfigParser()
+    ini.read(out_path)
+    assert ini.sections() == [
+        "zero_vt_mosfet_25st_100MHz_q2.8184",
+        "zero_vt_mosfet_25st_100MHz_q2.81840001",
+        "schottky_20st_1234.567MHz",
+        "zero_vt_mosfet_25st_8218.604573116368MHz",
+        "zero_vt_mosfet_25st_8218.604573116369MHz",
+    ]
+
+
+def test_calibrate_targets_within_the_tolerance_share_a_set(tmp_path, capsys):
+    """Two targets on one operating point 0.05 dB apart: the set is fit to
+    the first, and the second is met within CALIBRATION_TOL_DB."""
+    out_path = tmp_path / "tol.ini"
+    code, out, _ = _run(capsys, [
+        "calibrate",
+        "--target", "zero_vt_mosfet:25:100e6:-37:2.8184",
+        "--target", "zero_vt_mosfet:25:100e6:-37.05:2.8184",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    assert re.findall(r"target (\S+) dBm, achieved (\S+) dBm, residual (\S+) dB", out) == [
+        ("-37.00", "-37.0000", "+0.0000"), ("-37.05", "-37.0000", "+0.0500")]
+    assert f"wrote 1 parameter set(s) to {out_path}" in out
+    ini = configparser.ConfigParser()
+    ini.read(out_path)
+    assert ini.sections() == ["zero_vt_mosfet_25st_100MHz_q2.8184"]
+    assert out_path.read_text().splitlines()[1] == (
+        "# target -37.00 dBm, achieved -37.0000 dBm, residual +0.0000 dB")
+
+
 def test_calibrate_contradictory_targets_fail_loudly(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "calibrate",
@@ -591,6 +639,7 @@ def test_calibrate_contradictory_targets_fail_loudly(tmp_path, capsys):
     ])
     assert code == 2
     assert "contradictory or infeasible" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_calibrate_rejects_malformed_target(tmp_path, capsys):
