@@ -21,9 +21,10 @@ of stepping one step per call, and events land on the same step.  Traced
 and untraced runs take the same macro-steps; a traced one also writes a
 row per step, read from the same law, and the state never depends on it.
 A macro-step writes its rows in one pass, in chunks of at most
-_TRACE_CHUNK rows, with the bytes of stepping one step per row.  The
-ledger guard runs once per macro-step, so the trace of a run the guard
-aborts may hold rows up to the end of that macro-step.
+_TRACE_CHUNK rows, with the bytes of stepping one step per row.  Every
+step ends in Engine._end, which writes its row before the ledger guard,
+so the trace of a run the guard aborts ends with the row it failed on:
+a single step's, or the last of a macro-step's.
 
 Every joule is attributed exactly once to one of: harvested, leaked,
 converter loss, a named load, or the change in stored energy.  The
@@ -59,6 +60,7 @@ from .power_mgmt import (
     LoadProfile,
     LoadSwitch,
     MonitorConfig,
+    NodeState,
     NodeStateMachine,
     build_cycle_plan,
     cycle_substep,
@@ -438,7 +440,8 @@ class Engine:
         # No coarse stretch spans more than a wake period (see _pick_dt).
         self._wake = mg.monitor.wake_period if mg.loads_enabled else math.inf
         eng = scenario.engine
-        self._dtc, self._t_end, self._stop = eng.dt_coarse, eng.t_end, eng.stop_stored_j
+        self._dtc, self._dtf = eng.dt_coarse, eng.dt_fine
+        self._t_end, self._stop = eng.t_end, eng.stop_stored_j
 
         self._span: tuple | None = None  # the quiet span's plan (see _plan)
         self._trace = None  # open trace CSV while run() writes one row per step
@@ -520,7 +523,7 @@ class Engine:
         land on the earlier of the wake-up (inf in Cold) and the window
         end; either capped at t_end.  A stale window is refreshed first.
 
-        Steps are checked on the clock they will advance (see _advance).
+        Steps are checked on the clock they will advance (see _end).
         In Cold or Sleep a coarse stretch takes the whole coarse steps
         before the earliest of the window end, the wake-up (inf while the
         monitor is unpowered) and t_end, at most one wake period of them (a
@@ -559,7 +562,7 @@ class Engine:
                 if bound - (t_a + (j + n - 1) * dt) < dt:
                     n = self._steps_before(bound, dt, dt)
         elif sm.phase_steps_left > 2:
-            dt = self.scenario.engine.dt_fine
+            dt = self._dtf
             n = min(self._steps_before(self._t_end, dt, dt), sm.phase_steps_left - 1)
             if until < self._t_end:
                 n = min(n, self._steps_before(until, dt, _ANY_TIME))
@@ -568,7 +571,7 @@ class Engine:
         if n > 1:
             self._offer = (dt * n, n, dt)
             return dt * n
-        dt = self.scenario.engine.dt_fine
+        dt = self._dtf
         if not sm.state.fine:
             dt = self._dtc if cut >= self._dtc else max(dt, cut)
         dt = min(dt, self._t_end - self.t)
@@ -577,7 +580,7 @@ class Engine:
 
     def _steps_before(self, bound: float, dt: float, left: float) -> int:
         """How many steps of dt from t start with at least left before
-        bound on the clock they advance (see _advance): the count of
+        bound on the clock they advance (see _end): the count of
         i >= 0 for which bound - (t_a + (j + i) dt) >= left.  That
         difference falls with i, so one floor division places the count
         and the clock itself settles it.  left = _ANY_TIME counts the
@@ -594,14 +597,6 @@ class Engine:
         while bound - (t_a + m * dt) >= left:
             m += 1
         return m - j
-
-    def _advance(self, dt: float, k: int) -> None:
-        """Move the clock k steps of dt: t = t_a + j dt, one rounding from
-        the anchor t_a, re-anchored at t whenever dt changes."""
-        if dt != self._dt_a:
-            self._t_a, self._j, self._dt_a = self.t, 0, dt
-        j = self._j = self._j + k
-        self.t = self._t_a + j * dt
 
     def _stored_steps(self, dt: float) -> int:
         """The steps of dt before which the stored energy provably stays
@@ -627,7 +622,7 @@ class Engine:
         or a cycle phase.  Runs of quiet ones are closed-form
         macro-steps (_quiet); a pump episode's steps, a cycle phase's and
         the rest go to _step_one.  Every step moves the one clock
-        (_advance), so a stretch ends on the t its steps taken one per call
+        (_end), so a stretch ends on the t its steps taken one per call
         reach.  A coarse stretch crosses no window end and reaches no
         check, so it advances dt (up to the clock's one rounding) at one
         source level; a fine one starts no step at or past the window end
@@ -678,11 +673,10 @@ class Engine:
         steps and the sums the ledger books.
         _first_hit ends the macro-step where cap2 would brown the monitor
         out or cap1 reach the pump's start_v; it also finds the step that
-        takes cap1 below v_oc, where its law switches.  The clock moves
-        once, by the steps taken (_advance).  A law with a <= 0 could ring
-        through 0 V, so its steps go to _step_one.  A run with a trace file
-        gets a row per step, read from the same laws; the state never
-        depends on it.  The ledger guard runs once, at the end.
+        takes cap1 below v_oc, where its law switches.  The steps taken
+        end in one _end call.  A law with a <= 0 could ring through 0 V,
+        so its steps go to _step_one.  A run with a trace file gets a row
+        per step, read from the same laws; the state never depends on it.
         """
         plan = self._span
         if plan is None or plan[0] != dt:
@@ -744,15 +738,15 @@ class Engine:
                 break
         if not k:
             return 0
-        self._advance(dt, k)
         v1k = y if thevenin else math.sqrt(y)
         v2k, s2, ss2 = cap2 if k == n else _affine(x2, b2, v2, k)
-        c1 = self.c1
         led = self.ledger
-        if self._trace is not None:
-            self._trace_rows(laws, k, thevenin, v1, v2, 1.0 - x2, b2, grow,
-                             (c_leak1, c_leak2, c_mon, e_front))
-        hc1 = 0.5 * c1
+        rows = None
+        if self._trace is not None:  # _trace_rows' arguments, the totals before this booking
+            rows = (laws, k, thevenin, v1, v2, 1.0 - x2, b2, grow,
+                    (c_leak1, c_leak2, c_mon, e_front),
+                    led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked)
+        hc1 = 0.5 * self.c1
         harvested, front, leaked, mon = _quiet_book(
             c_leak1, c_leak2, c_mon, e_front, hc1 * v1k * v1k - hc1 * v1 * v1, q1,
             two_x2 * ss2 + b2 * s2, two_x2 * s2 + k * b2, k,
@@ -760,51 +754,69 @@ class Engine:
         led.e_harvested += harvested
         led.e_converter_loss += front
         led.e_leaked += leaked
-        p_del = self._p_del
-        led.e_reflected += k * ((self._p_avail - p_del) * dt)
-        led.e_delivered += k * (p_del * dt)
         if mon > 0.0:
             by = led.e_load_by_component
             by[kind] = by.get(kind, 0.0) + mon
             led.e_load_total += mon
-        self.v1, self.v2 = v1k, v2k
-        if self._trace is not None:
-            self._write_row()
-        led.e_stored_delta = 0.5 * (c1 * v1k * v1k + self.c2 * v2k * v2k) - led.e_initial
-        led.steps += k
         led.unbooked += 1  # v2k's rounding
-        counts = self.counters
         if kind == "monitor_check":
             self.sm.phase_steps_left -= k
-            counts.fine_check += k
-        else:
-            counts.coarse_quiet += k
-        counts.quiet_calls += 1
-        led.check()
+        self.counters.quiet_calls += 1
+        self._end(dt, k, v1k, v2k, self.sm.state, False, rows)
         return k
 
-    def _write_row(self) -> None:
-        """Write the trace row of the state the last step reached."""
+    def _end(self, dt: float, k: int, v1: float, v2: float, state: NodeState, pumped: bool,
+             rows: tuple | None = None) -> None:
+        """End k steps of dt taken from state, their storage-side energy
+        booked, with the caps now at v1 and v2: move the clock
+        (t = t_a + j dt, one rounding from the anchor t_a, re-anchored at
+        t whenever dt changes), book the RF and the stored energy, count
+        the steps by regime (a check or a cycle state's are fine; Cold or
+        Sleep ones pump if pumped, else are quiet), write a traced run's
+        rows (rows: _trace_rows' arguments for a macro-step's steps but
+        its last) and the row of the state reached, then run the guard."""
+        if dt != self._dt_a:
+            self._t_a, self._j, self._dt_a = self.t, 0, dt
+        j = self._j = self._j + k
+        self.t = self._t_a + j * dt
         led = self.ledger
-        self._trace.write(_TRACE_ROW % (
-            self.t, self._window_dbm, self.v1, self.v2, self.sm.state.value,
-            led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked,
-        ))
+        led.e_reflected += k * ((self._p_avail - self._p_del) * dt)
+        led.e_delivered += k * (self._p_del * dt)
+        self.v1, self.v2 = v1, v2
+        led.e_stored_delta = 0.5 * (self.c1 * v1 * v1 + self.c2 * v2 * v2) - led.e_initial
+        led.steps += k
+        counts = self.counters
+        if not state.fine:
+            if pumped:
+                counts.coarse_pump += k
+            else:
+                counts.coarse_quiet += k
+        elif state.cycle:
+            counts.fine_cycle += k
+        else:
+            counts.fine_check += k
+        if self._trace is not None:
+            if rows is not None:
+                self._trace_rows(*rows)
+            self._trace.write(_TRACE_ROW % (
+                self.t, self._window_dbm, v1, v2, self.sm.state.value,
+                led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked,
+            ))
+        led.check()
 
-    def _trace_rows(self, laws, k, thevenin, v1, v2, a2, b2, grow, coefs):
+    def _trace_rows(self, laws, k, thevenin, v1, v2, a2, b2, grow, coefs, h0, used0, leaked0):
         """Write the rows of a macro-step's k steps but its last, once the
         clock has moved over them, in one pass and at most _TRACE_CHUNK
         rows per write: each row's t is read from the anchor, cap1 steps
         through the laws' segments up to k steps (under ideal coupling as
         v1**2), cap2 through (a2, b2), and the running sums are booked with
-        _quiet_book's expressions in its order, coefs its coefficients, so
+        _quiet_book's expressions in its order, coefs its coefficients, on
+        the totals before the macro-step's booking (h0, used0, leaked0), so
         the bytes are those of _TRACE_ROW.  What holds over the macro-step
         is decided once: the level and the state, the consumed energy when
         nothing draws or loses (every Cold row under thevenin coupling), and
         the clock's format, from integers when the anchor and dt are whole."""
         c_leak1, c_leak2, c_mon, e_front = coefs
-        led = self.ledger
-        h0, used0, leaked0 = led.e_harvested, led.e_converter_loss + led.e_load_total, led.e_leaked
         hc1 = 0.5 * self.c1
         e10 = hc1 * v1 * v1
         y = v1 if thevenin else v1 * v1
@@ -860,7 +872,6 @@ class Engine:
         led = self.ledger
         sc = self.scenario
         thevenin = self._chain is not None
-        t = self.t
         state = self.sm.state
 
         # Harvest into cap1.  Attributions come from energy differences so
@@ -868,23 +879,21 @@ class Engine:
         c1 = self.c1
         v1 = self.v1
         e1_before = 0.5 * c1 * v1 * v1
+        i_chg = e_front_loss = 0.0
         if thevenin:
             head = self._v_oc - v1
-            i_chg = head / self._r_out if head > 0.0 else 0.0
-            v1, leaked1 = cap_euler(v1, c1, self.r1, i_chg, dt)
-            e_front_loss = 0.0
-        else:
+            if head > 0.0:
+                i_chg = head / self._r_out
+        else:  # the deposit, then the leak
             e_in = self._p_ideal * dt
             if e_in > 0.0:
                 v1 = math.sqrt(v1 * v1 + 2.0 * e_in / c1)
-            v1, leaked1 = cap_euler(v1, c1, self.r1, 0.0, dt)
             e_front_loss = self._p_del * dt - e_in
+        v1, leaked1 = cap_euler(v1, c1, self.r1, i_chg, dt)
         e1_after = 0.5 * c1 * v1 * v1
         led.e_harvested += (e1_after - e1_before) + leaked1 + e_front_loss
         led.e_converter_loss += e_front_loss
         led.e_leaked += leaked1
-        led.e_reflected += (self._p_avail - self._p_del) * dt
-        led.e_delivered += self._p_del * dt
 
         # Charge pump cap1 -> cap2.
         st = sc.storage
@@ -894,8 +903,6 @@ class Engine:
         v1, v2, self.conv1, moved, _lost = transfer_step(
             v1, c1, v2, c2, self.conv1, st.transfer, dt, st.cap2_v_max
         )
-        self.v1 = v1
-        self.v2 = v2
         e_extracted = e1_after - 0.5 * c1 * v1 * v1
         e2_before = 0.5 * c2 * v2 * v2  # after the pump, before the management
         led.e_converter_loss += e_extracted - (e2_before - e2_pre)
@@ -904,11 +911,11 @@ class Engine:
         i_draw = 0.0
         draws: tuple[tuple[str, float], ...] = ()
         event = ""
-        if sc.management.loads_enabled:
+        if self._loads:
             sm = self.sm
             mon = sc.management.monitor
             i_mon, mon_kind = monitor_step(
-                mon, sm, v2, t, dt, self.go_threshold, self.check_steps
+                mon, sm, v2, self.t, dt, self.go_threshold, self.check_steps
             )
             if sm.state.cycle:
                 draws, self.conv2, _, _, event = cycle_substep(
@@ -921,18 +928,18 @@ class Engine:
             i_draw = i_mon
             if draws:
                 i_draw += dcdc_supply_current(self.conv2, v2, sum(p for _, p in draws))
-        v2, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
+        v2n, leaked2 = cap_euler(v2, c2, self.r2, -i_draw, dt)
         led.e_leaked += leaked2
         if i_draw > 0.0:
             by = led.e_load_by_component
-            mon_share = i_mon * 0.5 * (self.v2 + v2) * dt
+            mon_share = i_mon * 0.5 * (v2 + v2n) * dt
             if mon_share > 0.0:
                 by[mon_kind] = by.get(mon_kind, 0.0) + mon_share
                 led.e_load_total += mon_share
             if draws:
                 # The converter's loss is what cap2 gave up beyond its leak,
                 # the monitor and the loads: it books v2's rounding.
-                e_drawn = e2_before - 0.5 * c2 * v2 * v2 - leaked2
+                e_drawn = e2_before - 0.5 * c2 * v2n * v2n - leaked2
                 e_loads = 0.0
                 for name, p in draws:
                     e = p * dt
@@ -942,36 +949,19 @@ class Engine:
                 led.e_converter_loss += (e_drawn - mon_share) - e_loads
         if not draws:
             led.unbooked += 1  # only the monitor draws, if anything: nothing books v2's rounding
-        self.v2 = v2
-
-        self._advance(dt, 1)
+        self._span = None  # the state, the wake-up or the pump may have moved
+        self._end(dt, 1, v1, v2n, state, self.conv1.running or moved > 0.0)
         if event == "done" and self.time_to_first_tx is None:
             self.time_to_first_tx = self.t
-        self._span = None  # the state, the wake-up or the pump may have moved
-        led.e_stored_delta = 0.5 * (c1 * v1 * v1 + c2 * v2 * v2) - led.e_initial
-        led.steps += 1
-        counts = self.counters
-        if state.cycle:
-            counts.fine_cycle += 1
-        elif state.fine:
-            counts.fine_check += 1
-        elif self.conv1.running or moved > 0.0:
-            counts.coarse_pump += 1
-        else:
-            counts.coarse_quiet += 1
-        led.check()
-        if self._trace is not None:
-            self._write_row()
 
     def run(self, trace_path: str | None = None) -> SimResult:
-        eng = self.scenario.engine
-        t_end = eng.t_end
         stop_reason = "t_end"
         try:
             if trace_path is not None:
                 self._trace = open(trace_path, "w", encoding="utf-8")
                 self._trace.write(TRACE_HEADER + "\n")
-            max_tx, stop, t_last = eng.max_transmissions, eng.stop_stored_j, t_end - 1e-12
+            max_tx, stop = self.scenario.engine.max_transmissions, self._stop
+            t_last = self._t_end - 1e-12
             while self.t < t_last:
                 self.step(self._pick_dt())
                 if max_tx is not None and self.transmissions >= max_tx:

@@ -175,17 +175,27 @@ _SLEEP_07 = (
 )
 
 
-@pytest.mark.parametrize("argv, sha256", [
+_PINNED_TRACES = (
     # ideal coupling, constant source, pump and loads off
-    (["run", "paper_ideal", "--until", "86400"], _PAPER_IDEAL_1D),
+    ("paper_ideal_1d", ["run", "paper_ideal", "--until", "86400"], _PAPER_IDEAL_1D),
     # the --seed override and the first pump episode, at 82,852 s
-    (["run", "realistic_default", "--seed", "0", "--until", "100000"],
+    ("realistic_seed0", ["run", "realistic_default", "--seed", "0", "--until", "100000"],
      "0cdcaf071c08e78f0bd94bd7e2e40768ef18056dd942016f1c62853a346208d7"),
     # 2,858 Sleep rows at 0.7 s steps
-    (["run", "sleep_07.scenario"],
+    ("sleep_dt07", ["run", "sleep_07.scenario"],
      "5be25d1be5fc0735d7f9422a35554039d78b49b2460ba884e439c167d2969aba"),
-], ids=["paper_ideal_1d", "realistic_seed0", "sleep_dt07"])
-def test_run_trace_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, sha256):
+)
+
+
+@pytest.mark.parametrize("argv, sha256, chunk", [
+    pytest.param(argv, sha256, chunk, id=name + (f"-chunk{chunk}" if chunk else ""))
+    for name, argv, sha256 in _PINNED_TRACES for chunk in (None, 1, 7)
+])
+def test_run_trace_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, sha256, chunk):
+    """The same bytes whatever the rows per write of a macro-step's trace:
+    the default _TRACE_CHUNK, one row, or seven."""
+    if chunk is not None:
+        monkeypatch.setattr(engine_module, "_TRACE_CHUNK", chunk)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sleep_07.scenario").write_text(_SLEEP_07)
     trace = tmp_path / "trace.csv"

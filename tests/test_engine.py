@@ -207,13 +207,14 @@ def test_hot_scenario_trace_bytes_are_pinned(tmp_path):
 
 def test_counters_count_every_step_by_regime(tmp_path):
     """A trace has one row per integrator step, so the regime counts add up
-    to its rows: the 10 s check is 10,000 fine steps at 1 ms, the cycle
-    8,001, and an untraced run counts the same."""
+    to its rows and to the ledger's steps: the 10 s check is 10,000 fine
+    steps at 1 ms, the cycle 8,001, and an untraced run counts the same."""
     trace = tmp_path / "hot.csv"
-    counts = run_scenario(_hot_scenario(), str(trace)).counters
+    res = run_scenario(_hot_scenario(), str(trace))
+    counts = res.counters
     rows = trace.read_bytes().count(b"\n") - 1
     steps = counts.coarse_quiet + counts.coarse_pump + counts.fine_check + counts.fine_cycle
-    assert steps == rows
+    assert steps == rows == res.ledger.steps
     assert (counts.fine_check, counts.fine_cycle, counts.windows) == (10000, 8001, 1)
     assert counts.coarse_pump > 0 and counts.quiet_calls > 0
     assert run_scenario(_hot_scenario()).counters == counts
@@ -936,6 +937,31 @@ def test_ledger_guard_fires_inside_a_quiet_stretch(monkeypatch, tmp_path, traced
     assert len(calls) == 1 and calls[0] > eng.scenario.engine.dt_coarse
     assert len(files) == (1 if traced else 0) and all(fh.closed for fh in files)
     assert eng._trace is None
+
+
+def _hot_pumping():
+    """The hot scenario with cap1 above the pump's start voltage: the first
+    step is a single step that pumps."""
+    hot = _hot_scenario()
+    return replace(hot, storage=replace(hot.storage, cap1=replace(hot.storage.cap1, v=0.6)))
+
+
+@pytest.mark.parametrize("make", [_thevenin_fill, _hot_pumping],
+                         ids=["quiet_stretch", "pump_single_step"])
+def test_aborted_trace_ends_with_the_failing_row(tmp_path, make):
+    """A 1 mJ hole in the ledger aborts the run on its first step() call,
+    a quiet macro-step or a pump single step; the trace holds a row for
+    every step the ledger booked, and the last is the failing step's."""
+    eng = Engine(make())
+    eng.ledger.e_initial += 1e-3
+    trace = tmp_path / "trace.csv"
+    with pytest.raises(LedgerError, match="exceeds tolerance"):
+        eng.run(str(trace))
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == eng.ledger.steps > 0
+    assert rows[-1].split(",")[0] == f"{eng.t:.6f}"
+    if make is _hot_pumping:
+        assert eng.counters.coarse_pump == eng.ledger.steps == 1
 
 
 @pytest.mark.parametrize("misbooked", [False, True], ids=["as_is", "leak_1pct_high"])
